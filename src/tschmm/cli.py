@@ -31,10 +31,9 @@ from .hmm import (
     baum_welch,
     gmr_predict,
     init_temporal_bins,
-    viterbi_labels,
 )
 from .model_io import load_model, save_model
-from .tsc import TscModel, detect_transition_states, dilate_mask
+from .tsc import TscModel, _joint_and_human_labels, detect_transition_states, dilate_mask
 
 __all__ = ["main"]
 
@@ -164,9 +163,10 @@ def cmd_train(args) -> int:
     feats = [build_features(d) for d in ds.demos]
     init = init_temporal_bins(feats, args.states, args.reg)
     base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg)
-    samples, _ = detect_transition_states(base, feats, args.window)
-    model = tsc.fit(base, feats, args.tsc_states, args.window, args.reg,
-                    args.max_iter, args.tol)
+    seqs = [f.frames for f in feats]
+    samples, masks = detect_transition_states(base, seqs, args.window)
+    model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
+                              args.window, args.reg, args.max_iter, args.tol)
     if model.mode != args.mode:
         model = replace(model, mode=args.mode)
     save_model(model, args.out)
@@ -219,14 +219,12 @@ def cmd_segment(args) -> int:
         return 4
     base = _base_of(model)
     window = model.window if isinstance(model, TscModel) else args.window
-    human_idx = list(base.split.human_idx)
+    labels = _joint_and_human_labels(base, [f.frames for f in feats])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t", "label_joint", "label_human",
                          "mismatch", "windowed"])
-        for demo_id, feat in enumerate(feats):
-            joint = viterbi_labels(base, feat).labels
-            human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
+        for demo_id, (feat, joint, human) in enumerate(zip(feats, *labels)):
             mismatch = joint != human
             windowed = dilate_mask(mismatch, window)
             for t in range(len(feat)):

@@ -6,6 +6,12 @@ Baum-Welch re-estimation with covariance regularization, marginal sub-models
 over a dimension subset, per-frame most-likely-state labels, and conditional
 prediction of the unobserved dimensions by Gaussian mixture regression.
 
+One kernel runs every forward and backward recursion: the E-step, the
+per-frame labels and prediction all pad their sequences into an (N, T, S)
+batch of emission densities and step through time once for the whole
+batch, each sequence stopping at its own length. A single sequence is a
+batch of one.
+
 Emission densities enter the recursions through their log values; each step
 shifts by the largest log density before exponentiating, so the scaled
 recursion never underflows even for long, high-dimensional sequences.
@@ -163,46 +169,111 @@ def _log_emissions(emissions: Sequence[GaussianState], frames: np.ndarray) -> np
     return np.column_stack([log_density(frames, g) for g in emissions])
 
 
-def _emission_scale(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame shifted emission likelihoods: max entry per row is 1."""
-    shift = log_b.max(axis=1)
-    if not np.all(np.isfinite(shift)):
-        t = int(np.argmin(np.isfinite(shift)))
-        raise TrainingError(f"all states have zero emission likelihood at frame {t}")
-    return np.exp(log_b - shift[:, None]), shift
+def _pad(pooled: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Rows of consecutive sequences as a zero-padded (N, T, ...) batch."""
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(valid.shape + pooled.shape[1:])
+    out[valid] = pooled
+    return out
 
 
-def _scaled_forward(
-    priors: np.ndarray, trans: np.ndarray, b_hat: np.ndarray, shift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized forward variables and per-step log scaling constants."""
-    n, s = b_hat.shape
-    a_hat = np.empty((n, s))
-    log_c = np.empty(n)
-    a = priors * b_hat[0]
-    for t in range(n):
-        if t:
-            a = b_hat[t] * (a_hat[t - 1] @ trans)
-        total = float(a.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise TrainingError(f"forward mass vanished at frame {t}")
-        a_hat[t] = a / total
-        log_c[t] = np.log(total) + shift[t]
-    return a_hat, log_c
+def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
+    """Name the frame where the first flagged sequence failed: its first
+    flagged frame, or its last when the recursion ran backward in time
+    (a failure leaves every frame the recursion reaches after it flagged)."""
+    n = int(np.argmax(bad.any(axis=1)))
+    frames = np.flatnonzero(bad[n])
+    t = frames[-1] if backward else frames[0]
+    return f"frame {t}" if bad.shape[0] == 1 else f"frame {t} of sequence {n}"
 
 
-def _scaled_backward(trans: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
-    """Backward variables, renormalized per step (scale cancels later)."""
-    n, s = b_hat.shape
-    beta_hat = np.empty((n, s))
-    beta_hat[-1] = 1.0
-    for t in range(n - 2, -1, -1):
-        v = trans @ (b_hat[t + 1] * beta_hat[t + 1])
-        total = float(v.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise TrainingError(f"backward mass vanished at frame {t}")
-        beta_hat[t] = v / total
-    return beta_hat
+class _Passes(NamedTuple):
+    a_hat: np.ndarray  # (N, T, S) normalized forward variables
+    log_c: np.ndarray  # (N, T) log scaling constants, 0 past each length
+    b_hat: np.ndarray  # (N, T, S) shifted emission likelihoods, 1 on padding
+    beta_hat: np.ndarray | None  # (N, T, S) renormalized backward variables
+
+
+def _forward_backward(
+    priors: np.ndarray,
+    trans: np.ndarray,
+    log_b: np.ndarray,
+    lengths: np.ndarray,
+    backward: bool = False,
+) -> _Passes:
+    """Scaled forward (and optionally backward) passes over a padded batch.
+
+    `log_b` holds (N, T, S) emission log-densities, zero past each
+    sequence's length. Each frame is shifted by its largest log density
+    before exponentiating; the forward variables are normalized per step
+    and the log of each normalizer plus the shift is that step's scaling
+    constant, so a sequence's log-likelihood is the sum of its constants
+    (Rabiner 1989, section V-A). The backward variables are renormalized
+    per step as well, the scale cancelling in the posteriors, and restart
+    at 1 on each sequence's own last frame. Padded frames are computed but
+    never used.
+
+    The batch steps through time together. Each forward step is a stack of
+    per-sequence vector-matrix products rather than one matrix product, so
+    every sequence's forward variables equal, bit for bit, those of a batch
+    holding that sequence alone.
+    """
+    n, t_max, s = log_b.shape
+    valid = np.arange(t_max) < lengths[:, None]
+    # the padding is zero and so can fail none of the checks below
+    shift = log_b.max(axis=2)
+    if not np.isfinite(shift).all():
+        bad = ~np.isfinite(shift)
+        raise TrainingError(f"all states have zero emission likelihood at {_failed_frame(bad)}")
+    # time-major, so each step reads and writes contiguous (N, S) blocks
+    b_hat = np.exp(log_b - shift[:, :, None]).transpose(1, 0, 2).copy()
+
+    a_hat = np.empty((t_max, n, s))
+    total = np.empty((t_max, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = priors * b_hat[0]
+        for t in range(t_max):
+            if t:
+                a = np.matmul(a_hat[t - 1, :, None, :], trans)[:, 0]
+                a *= b_hat[t]
+            total[t] = a.sum(axis=1)
+            np.divide(a, total[t, :, None], out=a_hat[t])
+        total = total.T
+        ok = np.isfinite(total) & (total > 0.0)
+        if not ok.all():
+            raise TrainingError(f"forward mass vanished at {_failed_frame(~ok)}")
+        log_c = (np.log(total) + shift) * valid
+
+        beta_hat = None
+        if backward:
+            beta_hat = np.empty((t_max, n, s))
+            beta_hat[-1] = 1.0
+            ends = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
+            norm = np.ones((t_max, n))
+            for t in range(t_max - 2, -1, -1):
+                v = (b_hat[t + 1] * beta_hat[t + 1]) @ trans.T
+                norm[t] = v.sum(axis=1)
+                np.divide(v, norm[t, :, None], out=beta_hat[t])
+                if ends[t].size:
+                    beta_hat[t, ends[t]] = 1.0
+            ok = np.isfinite(norm.T) & (norm.T > 0.0)
+            if not ok.all():
+                raise TrainingError(
+                    f"backward mass vanished at {_failed_frame(~ok, backward=True)}"
+                )
+            beta_hat = beta_hat.transpose(1, 0, 2)
+    return _Passes(
+        a_hat.transpose(1, 0, 2), log_c, b_hat.transpose(1, 0, 2), beta_hat
+    )
+
+
+def _filtered_labels(model: HmmModel, seqs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-frame argmax of the forward variables of each (T, D) matrix,
+    all sequences in one batched pass; ties go to the lowest state."""
+    lengths = np.array([len(f) for f in seqs])
+    log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+    a_hat = _forward_backward(model.priors, model.transitions, log_b, lengths).a_hat
+    return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
 
 
 def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardResult:
@@ -220,9 +291,11 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
         )
     sub = model if dims == list(range(model.dim)) else marginal_model(model, dims)
     log_b = _log_emissions(sub.emissions, frames)
-    b_hat, shift = _emission_scale(log_b)
-    a_hat, log_c = _scaled_forward(sub.priors, sub.transitions, b_hat, shift)
-    log_cum = np.cumsum(log_c)
+    passes = _forward_backward(
+        sub.priors, sub.transitions, log_b[None], np.array([len(frames)])
+    )
+    a_hat = passes.a_hat[0]
+    log_cum = np.cumsum(passes.log_c[0])
     with np.errstate(divide="ignore"):
         log_alpha = np.log(a_hat) + log_cum[:, None]
     return ForwardResult(h=a_hat, log_alpha=log_alpha, log_likelihood=float(log_cum[-1]))
@@ -293,69 +366,60 @@ class _EStats(NamedTuple):
     trans_acc: np.ndarray
     resp: np.ndarray
     mean_acc: np.ndarray
-    gammas: list
+    gamma: np.ndarray  # (F, S) state posteriors of the pooled frames
 
 
-def _e_step(model: HmmModel, seqs: list[np.ndarray]) -> tuple[_EStats, float]:
-    s, d = model.num_states, model.dim
+def _e_step(model: HmmModel, pooled: np.ndarray, lengths: np.ndarray) -> tuple[_EStats, float]:
+    """Posterior statistics of sequences stored back to back in `pooled`."""
+    trans = model.transitions
     # one Cholesky per state for the whole batch
-    log_b_all = _log_emissions(model.emissions, np.vstack(seqs))
-    pi_acc = np.zeros(s)
-    trans_acc = np.zeros((s, s))
-    resp = np.zeros(s)
-    mean_acc = np.zeros((s, d))
-    gammas = []
-    total_ll = 0.0
-    offset = 0
-    for frames in seqs:
-        n = len(frames)
-        log_b = log_b_all[offset : offset + n]
-        offset += n
-        b_hat, shift = _emission_scale(log_b)
-        a_hat, log_c = _scaled_forward(model.priors, model.transitions, b_hat, shift)
-        beta_hat = _scaled_backward(model.transitions, b_hat)
-        joint = a_hat * beta_hat
-        row_tot = joint.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(row_tot)) or np.any(row_tot <= 0):
-            raise TrainingError("state posterior collapsed to zero mass")
-        gamma = joint / row_tot
-        if n > 1:
-            # pairwise posteriors; each (S, S) slice sums to 1 exactly
-            m = (
-                a_hat[:-1, :, None]
-                * model.transitions[None, :, :]
-                * (b_hat[1:] * beta_hat[1:])[:, None, :]
-            )
-            slice_tot = m.sum(axis=(1, 2))
-            if not np.all(np.isfinite(slice_tot)) or np.any(slice_tot <= 0):
-                raise TrainingError("pairwise posterior collapsed to zero mass")
-            trans_acc += (m / slice_tot[:, None, None]).sum(axis=0)
-        pi_acc += gamma[0]
-        resp += gamma.sum(axis=0)
-        mean_acc += gamma.T @ frames
-        gammas.append(gamma)
-        total_ll += float(log_c.sum())
-    return _EStats(pi_acc, trans_acc, resp, mean_acc, gammas), total_ll
+    log_b = _pad(_log_emissions(model.emissions, pooled), lengths)
+    a_hat, log_c, b_hat, beta_hat = _forward_backward(
+        model.priors, trans, log_b, lengths, backward=True
+    )
+    valid = np.arange(a_hat.shape[1]) < lengths[:, None]
+    joint = a_hat[valid] * beta_hat[valid]
+    row_tot = joint.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(row_tot)) or np.any(row_tot <= 0):
+        raise TrainingError("state posterior collapsed to zero mass")
+    gamma = joint / row_tot
+
+    # pairwise posteriors a_t(i) A(i, j) c_t+1(j) / Z_t, each summing to 1
+    # over (i, j), accumulated without forming the (N, T-1, S, S) tensor
+    pair = valid[:, 1:]
+    a_prev = a_hat[:, :-1][pair]
+    c_next = (b_hat * beta_hat)[:, 1:][pair]
+    slice_tot = np.einsum("fi,ij,fj->f", a_prev, trans, c_next)
+    if not np.all(np.isfinite(slice_tot)) or np.any(slice_tot <= 0):
+        raise TrainingError("pairwise posterior collapsed to zero mass")
+    trans_acc = trans * ((a_prev / slice_tot[:, None]).T @ c_next)
+
+    stats = _EStats(
+        pi_acc=gamma[np.cumsum(lengths) - lengths].sum(axis=0),
+        trans_acc=trans_acc,
+        resp=gamma.sum(axis=0),
+        mean_acc=gamma.T @ pooled,
+        gamma=gamma,
+    )
+    return stats, float(log_c.sum(axis=1).sum())
 
 
 def _m_step(
     model: HmmModel,
     stats: _EStats,
-    seqs: list[np.ndarray],
+    pooled: np.ndarray,
     eps: float,
     global_cov: np.ndarray,
 ) -> HmmModel:
-    s, d = model.num_states, model.dim
     priors = stats.pi_acc / stats.pi_acc.sum()
 
     trans = np.array(model.transitions)
-    for i in range(s):
-        row_sum = stats.trans_acc[i].sum()
-        if row_sum > 0:
-            trans[i] = stats.trans_acc[i] / row_sum
+    row_sum = stats.trans_acc.sum(axis=1)
+    seen = row_sum > 0
+    trans[seen] = stats.trans_acc[seen] / row_sum[seen, None]
 
     emissions = []
-    for i in range(s):
+    for i in range(model.num_states):
         if stats.resp[i] < _RESP_FLOOR:
             logger.warning(
                 "state %d received responsibility %.3g; resetting its covariance "
@@ -366,10 +430,8 @@ def _m_step(
             emissions.append(GaussianState(model.emissions[i].mean, global_cov))
             continue
         mean = stats.mean_acc[i] / stats.resp[i]
-        acc = np.zeros((d, d))
-        for frames, gamma in zip(seqs, stats.gammas):
-            centered = frames - mean
-            acc += (gamma[:, i] * centered.T) @ centered
+        centered = pooled - mean
+        acc = (stats.gamma[:, i] * centered.T) @ centered
         cov = regularize(0.5 * (acc + acc.T) / stats.resp[i], eps)
         try:
             emissions.append(GaussianState(mean, cov))
@@ -406,17 +468,18 @@ def baum_welch(
             raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {model.dim}")
 
     pooled = np.vstack(seqs)
+    lengths = np.array([len(seq) for seq in seqs])
     centered = pooled - pooled.mean(axis=0)
     global_cov = (centered.T @ centered) / len(pooled)
     global_cov = regularize(0.5 * (global_cov + global_cov.T), eps)
     global_cov.setflags(write=False)
 
     current = model
-    stats, ll = _e_step(current, seqs)
+    stats, ll = _e_step(current, pooled, lengths)
     history = [ll]
     for _ in range(max_iter):
-        candidate = _m_step(current, stats, seqs, eps, global_cov)
-        new_stats, new_ll = _e_step(candidate, seqs)
+        candidate = _m_step(current, stats, pooled, eps, global_cov)
+        new_stats, new_ll = _e_step(candidate, pooled, lengths)
         if new_ll < ll:
             # the eps floor on covariances can push the update off the EM
             # ascent direction; keep the better previous model
@@ -466,7 +529,13 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
 
 
 def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> SegmentLabels:
-    """Per-frame argmax of the normalized forward variable; ties -> lowest."""
+    """Per-frame argmax of the normalized forward variable; ties -> lowest.
+
+    Despite the name this is not a Viterbi path: each label is the most
+    likely state given the frames up to and including its own (the
+    filtered estimate), so consecutive labels need not form a likely, or
+    even a possible, state path.
+    """
     result = forward(model, obs, dims)
     labels = np.argmax(result.h, axis=1)
     return SegmentLabels(labels, np.zeros(labels.size, dtype=bool))

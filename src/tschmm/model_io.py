@@ -35,14 +35,57 @@ def _hmm_to_dict(model: HmmModel) -> dict:
     }
 
 
-def _hmm_from_dict(d: dict) -> HmmModel:
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string", int: "an integer",
+               bool: "true or false"}
+
+
+def _field(d, key: str, kind: type, where: str):
+    """d[key], checked to be present and of the JSON type `kind`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{where} is missing the required key {key!r}")
+    value = d[key]
+    # JSON true/false load as bool, which Python also counts as an int
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(
+            f"{where}.{key} must be {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _array(d, key: str, where: str) -> np.ndarray:
+    value = _field(d, key, list, where)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where}.{key} must hold numbers, or lists of numbers of equal length"
+        ) from None
+
+
+def _indices(d, key: str, where: str) -> tuple[int, ...]:
+    value = _field(d, key, list, where)
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in value):
+        raise ValueError(f"{where}.{key} must hold only integers")
+    return tuple(value)
+
+
+def _hmm_from_dict(d, where: str) -> HmmModel:
+    priors = _array(d, "priors", where)
+    transitions = _array(d, "transitions", where)
+    emissions = _field(d, "emissions", list, where)
+    split = _field(d, "split", dict, where)
+    states = tuple(
+        GaussianState(_array(e, "mean", f"{where}.emissions[{k}]"),
+                      _array(e, "cov", f"{where}.emissions[{k}]"))
+        for k, e in enumerate(emissions)
+    )
     split = DimensionSplit(
-        tuple(d["split"]["human_idx"]), tuple(d["split"]["robot_idx"])
+        _indices(split, "human_idx", f"{where}.split"),
+        _indices(split, "robot_idx", f"{where}.split"),
     )
-    emissions = tuple(
-        GaussianState(np.array(e["mean"]), np.array(e["cov"])) for e in d["emissions"]
-    )
-    return HmmModel(np.array(d["priors"]), np.array(d["transitions"]), emissions, split)
+    return HmmModel(priors, transitions, states, split)
 
 
 def save_model(model, path) -> None:
@@ -78,18 +121,20 @@ def load_model(path):
         )
     kind = doc.get("model_kind")
     payload = doc.get("model")
+    where = f"{path}: model"
     if kind == "hmm":
-        return _hmm_from_dict(payload)
+        return _hmm_from_dict(payload, where)
     if kind == "tsc":
+        fallback = _field(payload, "fallback", bool, where)
+        # null after a fallback; otherwise checked as an HMM below
+        transition = _field(payload, "transition", object, where)
         return TscModel(
-            base=_hmm_from_dict(payload["base"]),
+            base=_hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base"),
             transition=(
-                None
-                if payload["fallback"]
-                else _hmm_from_dict(payload["transition"])
+                None if fallback else _hmm_from_dict(transition, f"{where}.transition")
             ),
-            window=int(payload["window"]),
-            mode=payload["mode"],
-            fallback=bool(payload["fallback"]),
+            window=_field(payload, "window", int, where),
+            mode=_field(payload, "mode", str, where),
+            fallback=fallback,
         )
     raise ValueError(f"{path}: unknown model_kind {kind!r}")

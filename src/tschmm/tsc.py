@@ -22,12 +22,13 @@ from .hmm import (
     HmmModel,
     SegmentLabels,
     TrainingError,
+    _filtered_labels,
     _frames_of,
     baum_welch,
     forward,
     gmr_predict,
     init_temporal_bins,
-    viterbi_labels,
+    marginal_model,
 )
 
 __all__ = [
@@ -87,6 +88,19 @@ def dilate_mask(mask, w: int) -> np.ndarray:
     return np.convolve(mask.astype(float), kernel, mode="same") > 0.0
 
 
+def _joint_and_human_labels(
+    base: HmmModel, seqs: Sequence[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-frame labels of each joint frame matrix under the joint model and
+    under its human-only marginal, each in one batched forward pass."""
+    human_idx = list(base.split.human_idx)
+    joint = _filtered_labels(base, seqs)
+    human = _filtered_labels(
+        marginal_model(base, human_idx), [f[:, human_idx] for f in seqs]
+    )
+    return joint, human
+
+
 def detect_transition_states(
     base: HmmModel, demos: Sequence, w: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -97,33 +111,19 @@ def detect_transition_states(
     Returns the pooled joint observations at masked frames as an (N, D)
     array plus one dilated boolean mask per demo.
     """
-    human_idx = list(base.split.human_idx)
-    samples = []
-    masks = []
-    for demo in demos:
-        frames = _frames_of(demo)
-        joint_labels = viterbi_labels(base, frames).labels
-        human_labels = viterbi_labels(base, frames[:, human_idx], human_idx).labels
-        mask = dilate_mask(joint_labels != human_labels, w)
-        masks.append(mask)
-        samples.append(frames[mask])
-    pooled = np.vstack(samples) if samples else np.zeros((0, base.dim))
+    seqs = [_frames_of(d) for d in demos]
+    if not seqs:
+        return np.zeros((0, base.dim)), []
+    joint, human = _joint_and_human_labels(base, seqs)
+    masks = [dilate_mask(j != h, w) for j, h in zip(joint, human)]
+    pooled = np.vstack([f[m] for f, m in zip(seqs, masks)])
     return pooled, masks
 
 
 def _masked_runs(frames: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """Contiguous masked stretches as separate short sequences."""
-    runs = []
-    start = None
-    for t, flag in enumerate(mask):
-        if flag and start is None:
-            start = t
-        elif not flag and start is not None:
-            runs.append(frames[start:t])
-            start = None
-    if start is not None:
-        runs.append(frames[start:])
-    return runs
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return [frames[a:b] for a, b in zip(edges[::2], edges[1::2])]
 
 
 def fit(
@@ -140,11 +140,27 @@ def fit(
     Requires at least num_states * (D + 1) pooled samples to attempt a fit;
     otherwise returns a fallback model. Contiguous masked runs are kept as
     separate training sequences so no artificial transitions appear between
-    unrelated events.
+    unrelated events. `demos` may be any iterable; it is read once.
     """
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
-    samples, masks = detect_transition_states(base, demos, w)
+    seqs = [_frames_of(d) for d in demos]
+    samples, masks = detect_transition_states(base, seqs, w)
+    return _fit_detected(base, seqs, samples, masks, num_states, w, eps, max_iter, tol)
+
+
+def _fit_detected(
+    base: HmmModel,
+    seqs: list[np.ndarray],
+    samples: np.ndarray,
+    masks: list[np.ndarray],
+    num_states: int,
+    w: int,
+    eps: float,
+    max_iter: int,
+    tol: float,
+) -> TscModel:
+    """The fitting half of `fit`, given detect_transition_states' output."""
     if len(samples) < num_states * (base.dim + 1):
         logger.info(
             "only %d transition samples for %d states over %d dims; falling back "
@@ -155,10 +171,11 @@ def fit(
         )
         return TscModel(base=base, transition=None, window=w, fallback=True)
 
-    runs = []
-    for demo, mask in zip(demos, masks):
-        frames = _frames_of(demo)
-        runs.extend(FeatureSequence(r, base.split) for r in _masked_runs(frames, mask))
+    runs = [
+        FeatureSequence(r, base.split)
+        for frames, mask in zip(seqs, masks)
+        for r in _masked_runs(frames, mask)
+    ]
     # bins need sequences at least num_states long; short corpora fall back
     # to initializing from the pooled samples as one stretch
     init_runs = [r for r in runs if len(r) >= num_states]

@@ -35,3 +35,77 @@ def random_hmm_params(rng, num_states, dim):
         a = rng.normal(size=(dim, dim))
         covs.append(a @ a.T + 0.5 * np.eye(dim))
     return priors, trans, means, np.array(covs)
+
+
+# --- per-sequence scaled recursions --------------------------------------------
+# The package's recursions before they were batched across sequences, kept
+# as the reference for the batched kernel. numpy only; errors are raised as
+# ValueError with the package's messages.
+
+
+def scaled_forward(priors, trans, log_b):
+    """Normalized forward variables, log scaling constants and shifted
+    emission likelihoods of one sequence, given its (T, S) log densities."""
+    shift = log_b.max(axis=1)
+    if not np.all(np.isfinite(shift)):
+        t = int(np.argmin(np.isfinite(shift)))
+        raise ValueError(f"all states have zero emission likelihood at frame {t}")
+    b_hat = np.exp(log_b - shift[:, None])
+    n, s = b_hat.shape
+    a_hat = np.empty((n, s))
+    log_c = np.empty(n)
+    a = priors * b_hat[0]
+    for t in range(n):
+        if t:
+            a = b_hat[t] * (a_hat[t - 1] @ trans)
+        total = float(a.sum())
+        if not np.isfinite(total) or total <= 0.0:
+            raise ValueError(f"forward mass vanished at frame {t}")
+        a_hat[t] = a / total
+        log_c[t] = np.log(total) + shift[t]
+    return a_hat, log_c, b_hat
+
+
+def scaled_backward(trans, b_hat):
+    """Backward variables of one sequence, renormalized per step."""
+    n, s = b_hat.shape
+    beta_hat = np.empty((n, s))
+    beta_hat[-1] = 1.0
+    for t in range(n - 2, -1, -1):
+        v = trans @ (b_hat[t + 1] * beta_hat[t + 1])
+        total = float(v.sum())
+        if not np.isfinite(total) or total <= 0.0:
+            raise ValueError(f"backward mass vanished at frame {t}")
+        beta_hat[t] = v / total
+    return beta_hat
+
+
+def e_step(priors, trans, log_bs, seqs):
+    """Baum-Welch sufficient statistics, one sequence at a time.
+
+    log_bs and seqs are per-sequence (T, S) log densities and (T, D)
+    frames. Returns pi_acc, trans_acc, resp, mean_acc, the list of
+    per-sequence state posteriors and the total log-likelihood.
+    """
+    s, d = len(priors), seqs[0].shape[1]
+    pi_acc, trans_acc = np.zeros(s), np.zeros((s, s))
+    resp, mean_acc = np.zeros(s), np.zeros((s, d))
+    gammas, total_ll = [], 0.0
+    for log_b, frames in zip(log_bs, seqs):
+        a_hat, log_c, b_hat = scaled_forward(priors, trans, log_b)
+        beta_hat = scaled_backward(trans, b_hat)
+        joint = a_hat * beta_hat
+        gamma = joint / joint.sum(axis=1, keepdims=True)
+        if len(frames) > 1:
+            m = (
+                a_hat[:-1, :, None]
+                * trans[None, :, :]
+                * (b_hat[1:] * beta_hat[1:])[:, None, :]
+            )
+            trans_acc += (m / m.sum(axis=(1, 2))[:, None, None]).sum(axis=0)
+        pi_acc += gamma[0]
+        resp += gamma.sum(axis=0)
+        mean_acc += gamma.T @ frames
+        gammas.append(gamma)
+        total_ll += float(log_c.sum())
+    return pi_acc, trans_acc, resp, mean_acc, gammas, total_ll

@@ -7,6 +7,7 @@ redirection so the tests do not depend on pytest's capture mode.
 import contextlib
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tschmm import tsc
 from tschmm.cli import main
 from tschmm.data import Dataset, Demonstration, build_features, load_csv
 from tschmm.evaluation import REPORT_COLUMNS, mse
-from tschmm.hmm import HmmModel, init_temporal_bins
+from tschmm.hmm import HmmModel, init_temporal_bins, viterbi_labels
 from tschmm.model_io import load_model, save_model
 from tschmm.tsc import TscModel
 
@@ -89,6 +90,27 @@ def test_train_reports_progress_and_saves_model(trained):
     model = load_model(path)
     assert isinstance(model, TscModel)
     assert not model.fallback
+
+
+def test_train_detects_transition_states_once(workdir, data_csv, monkeypatch):
+    import tschmm.cli
+
+    found = []
+    original = tsc.detect_transition_states
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        found.append(result[0])
+        return result
+
+    monkeypatch.setattr(tsc, "detect_transition_states", counted)
+    monkeypatch.setattr(tschmm.cli, "detect_transition_states", counted)
+    rc, out, _ = run_cli("train", "--data", str(data_csv), "--states", "3",
+                         "--tsc-states", "2", "--max-iter", "20",
+                         "--out", str(workdir / "once.json"))
+    assert rc == 0
+    assert len(found) == 1
+    assert f"transition samples: {len(found[0])}" in out
 
 
 def test_predict_writes_one_row_per_frame(workdir, data_csv, trained):
@@ -167,6 +189,23 @@ def test_segment_flags_are_internally_consistent(workdir, data_csv, trained):
     assert mismatch.sum() > 0  # a handshake has clasp and release transitions
 
 
+def test_segment_labels_match_per_demo_labelling(workdir, data_csv, trained):
+    model_path, _ = trained
+    out_path = workdir / "seg.csv"
+    rc, _, _ = run_cli("segment", "--model", str(model_path),
+                       "--data", str(data_csv), "--out", str(out_path))
+    assert rc == 0
+    body = np.array(read_rows(out_path)[1:], dtype=int)
+    base = load_model(model_path).base
+    human_idx = list(base.split.human_idx)
+    for demo_id, demo in enumerate(load_csv(data_csv).demos):
+        feat = build_features(demo)
+        rows = body[body[:, 0] == demo_id]
+        assert np.array_equal(rows[:, 2], viterbi_labels(base, feat).labels)
+        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
+        assert np.array_equal(rows[:, 3], human)
+
+
 def test_segment_single_state_model_never_mismatches(workdir, data_csv):
     ds = load_csv(data_csv)
     feats = [build_features(d) for d in ds.demos]
@@ -208,6 +247,18 @@ def test_malformed_data_file_exits_two(workdir):
                          "--out", str(workdir / "m.json"))
     assert rc == 2
     assert "error:" in err
+
+
+def test_predict_model_missing_a_key_exits_two(workdir, data_csv, trained):
+    model_path, _ = trained
+    doc = json.loads(model_path.read_text())
+    del doc["model"]["base"]["split"]
+    broken = workdir / "no_split.json"
+    broken.write_text(json.dumps(doc))
+    rc, _, err = run_cli("predict", "--model", str(broken),
+                         "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
+    assert rc == 2
+    assert "model.base is missing the required key 'split'" in err
 
 
 def test_invalid_flag_value_exits_two(workdir, data_csv):

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import _oracles
 from _oracles import brute_force_log_likelihood, random_hmm_params
 from tschmm.data import Demonstration, DimensionSplit, FeatureSequence, build_features
 from tschmm.gaussian import GaussianState, condition
 from tschmm.hmm import (
     HmmModel,
     TrainingError,
+    _e_step,
+    _forward_backward,
+    _log_emissions,
+    _pad,
     baum_welch,
     forward,
     gmr_predict,
@@ -428,3 +433,105 @@ def test_viterbi_breaks_ties_toward_lower_state():
     )
     labels = viterbi_labels(model, np.zeros((5, 1))).labels
     assert np.array_equal(labels, np.zeros(5, dtype=int))
+
+
+# --- batched kernel against the per-sequence reference ---------------------------
+
+RAGGED_LENGTHS = [7, 1, 30, 2, 12, 2, 1]
+
+
+def _ragged_batch(seed, num_states=3, dim=2):
+    rng = np.random.default_rng(seed)
+    model = _model_from_params(*random_hmm_params(rng, num_states, dim))
+    seqs = [rng.normal(0.0, 2.0, size=(n, dim)) for n in RAGGED_LENGTHS]
+    return model, seqs
+
+
+def test_kernel_forward_backward_matches_per_sequence_reference():
+    for seed in range(5):
+        model, seqs = _ragged_batch(seed)
+        lengths = np.array(RAGGED_LENGTHS)
+        log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+        got = _forward_backward(model.priors, model.transitions, log_b, lengths, backward=True)
+        for k, frames in enumerate(seqs):
+            n = len(frames)
+            a_hat, log_c, b_hat = _oracles.scaled_forward(
+                model.priors, model.transitions, log_b[k, :n]
+            )
+            beta_hat = _oracles.scaled_backward(model.transitions, b_hat)
+            # forward steps are per-sequence vector-matrix products: exact
+            assert np.array_equal(got.a_hat[k, :n], a_hat)
+            assert np.max(np.abs(got.beta_hat[k, :n] - beta_hat)) < 1e-10
+            assert np.max(np.abs(got.b_hat[k, :n] - b_hat)) < 1e-10
+            assert got.log_c[k].sum() == pytest.approx(log_c.sum(), abs=1e-10)
+            assert np.all(got.log_c[k, n:] == 0.0)
+
+
+def test_kernel_e_step_matches_per_sequence_reference():
+    for seed in range(5):
+        model, seqs = _ragged_batch(seed, num_states=4, dim=3)
+        lengths = np.array(RAGGED_LENGTHS)
+        stats, ll = _e_step(model, np.vstack(seqs), lengths)
+        log_bs = [_log_emissions(model.emissions, f) for f in seqs]
+        pi_acc, trans_acc, resp, mean_acc, gammas, want_ll = _oracles.e_step(
+            model.priors, model.transitions, log_bs, seqs
+        )
+        assert ll == pytest.approx(want_ll, abs=1e-10)
+        assert np.max(np.abs(stats.gamma - np.vstack(gammas))) < 1e-10
+        assert np.max(np.abs(stats.trans_acc - trans_acc)) < 1e-10
+        assert np.max(np.abs(stats.pi_acc - pi_acc)) < 1e-10
+        assert np.max(np.abs(stats.resp - resp)) < 1e-10
+        assert np.max(np.abs(stats.mean_acc - mean_acc)) < 1e-10
+
+
+def test_forward_single_sequence_is_bit_identical_to_reference():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 17, 72):
+        s = int(rng.integers(1, 6))
+        d = int(rng.integers(1, 4))
+        model = _model_from_params(*random_hmm_params(rng, s, d))
+        obs = rng.normal(0.0, 2.0, size=(n, d))
+        res = forward(model, obs)
+        a_hat, log_c, _ = _oracles.scaled_forward(
+            model.priors, model.transitions, _log_emissions(model.emissions, obs)
+        )
+        log_cum = np.cumsum(log_c)
+        with np.errstate(divide="ignore"):
+            log_alpha = np.log(a_hat) + log_cum[:, None]
+        assert np.array_equal(res.h, a_hat)
+        assert np.array_equal(res.log_alpha, log_alpha)
+        assert res.log_likelihood == float(log_cum[-1])
+
+
+def test_kernel_names_the_first_bad_frame_of_a_batch():
+    model, seqs = _ragged_batch(0)
+    lengths = np.array(RAGGED_LENGTHS)
+    log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+    # every state at zero likelihood on frame 1 of sequence 3
+    vanished = log_b.copy()
+    vanished[3, 1] = -np.inf
+    with pytest.raises(TrainingError, match="zero emission likelihood at frame 1 of sequence 3"):
+        _forward_backward(model.priors, model.transitions, vanished, lengths)
+    # the chain cannot reach the only state with mass at frame 5 of sequence 2
+    sticky = HmmModel(
+        priors=np.array([1.0, 0.0]),
+        transitions=np.eye(2),
+        emissions=(GaussianState([0.0], [[1.0]]), GaussianState([0.0], [[1.0]])),
+        split=DimensionSplit((0,), ()),
+    )
+    blocked = np.zeros((3, 8, 2))
+    blocked[2, 5, 0] = -np.inf
+    with pytest.raises(TrainingError, match="forward mass vanished at frame 5 of sequence 2"):
+        _forward_backward(sticky.priors, sticky.transitions, blocked, np.array([8, 8, 8]))
+    # a batch of one names the frame alone, as forward() always has
+    with pytest.raises(TrainingError, match=r"forward mass vanished at frame 5$"):
+        _forward_backward(sticky.priors, sticky.transitions, blocked[2:], np.array([8]))
+
+
+def test_e_step_on_zero_likelihood_frame_raises():
+    model, seqs = _ragged_batch(2)
+    seqs[4][6] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(
+        TrainingError, match="zero emission likelihood at frame 6 of sequence 4"
+    ):
+        baum_welch(model, seqs, max_iter=2)

@@ -116,3 +116,62 @@ def test_load_rejects_unknown_kind(tmp_path):
 def test_save_rejects_other_objects(tmp_path):
     with pytest.raises(TypeError, match="cannot serialize"):
         save_model({"not": "a model"}, tmp_path / "model.json")
+
+
+def _saved_tsc_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(TscModel(base=_hmm(seed=5), transition=_hmm(seed=6), window=2), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        (("base",), "split"),
+        (("base",), "emissions"),
+        (("base",), "priors"),
+        (("base",), "transitions"),
+        (("transition",), "split"),
+        (("base", "emissions", 1), "cov"),
+        ((), "window"),
+        ((), "fallback"),
+        ((), "mode"),
+        ((), "base"),
+        ((), "transition"),
+    ],
+)
+def test_load_names_a_missing_key(tmp_path, where, key):
+    path, doc = _saved_tsc_doc(tmp_path)
+    node = doc["model"]
+    for step in where:
+        node = node[step]
+    del node[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"is missing the required key '{key}'"):
+        load_model(path)
+
+
+def test_load_names_a_mistyped_key(tmp_path):
+    path, doc = _saved_tsc_doc(tmp_path)
+    doc["model"]["base"]["emissions"] = {"mean": [0.0]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"model\.base\.emissions must be a list, got dict"):
+        load_model(path)
+    doc["model"]["base"]["emissions"] = [{"mean": [0.0, "a"], "cov": [[1.0]]}]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"emissions\[0\]\.mean must hold numbers"):
+        load_model(path)
+    path, doc = _saved_tsc_doc(tmp_path)
+    doc["model"]["window"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"model\.window must be an integer, got bool"):
+        load_model(path)
+    doc["model"]["window"] = 2
+    doc["model"]["base"]["split"]["robot_idx"] = [2, 3.5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"split\.robot_idx must hold only integers"):
+        load_model(path)
+    doc["model"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="model must be a JSON object, got NoneType"):
+        load_model(path)

@@ -6,7 +6,14 @@ import pytest
 from tschmm import tsc
 from tschmm.data import DimensionSplit, FeatureSequence, build_features, synth_generate
 from tschmm.gaussian import GaussianState, log_density, marginalize
-from tschmm.hmm import HmmModel, baum_welch, forward, gmr_predict, init_temporal_bins
+from tschmm.hmm import (
+    HmmModel,
+    baum_welch,
+    forward,
+    gmr_predict,
+    init_temporal_bins,
+    viterbi_labels,
+)
 from tschmm.tsc import TscModel, detect_transition_states, dilate_mask, fit, predict
 
 
@@ -287,3 +294,34 @@ def test_predict_output_split_covers_robot_dims_only():
     out = predict(model, np.zeros((4, 1)))
     assert out.split.human_idx == ()
     assert out.split.robot_idx == (0,)
+
+
+def test_fit_reads_an_iterable_of_demos_once():
+    base = _excursion_base()
+    demos = [_excursion_demo(start=10 + k, stop=16 + k) for k in range(4)]
+    from_list = fit(base, demos, num_states=2, w=2, eps=1e-2)
+    from_generator = fit(base, (d for d in demos), num_states=2, w=2, eps=1e-2)
+    assert not from_generator.fallback
+    got, want = from_generator.transition, from_list.transition
+    assert np.array_equal(got.priors, want.priors)
+    assert np.array_equal(got.transitions, want.transitions)
+    for g, h in zip(got.emissions, want.emissions):
+        assert np.array_equal(g.mean, h.mean) and np.array_equal(g.cov, h.cov)
+    samples, masks = detect_transition_states(base, (d for d in demos), w=2)
+    want_samples, want_masks = detect_transition_states(base, demos, w=2)
+    assert np.array_equal(samples, want_samples)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, want_masks))
+
+
+def test_detect_matches_per_demo_labelling_on_a_corpus():
+    ds, _ = synth_generate("rocket_fistbump", n_demos=8, noise_sigma=0.01, seed=2)
+    feats = [build_features(d) for d in ds.demos]
+    init = init_temporal_bins(feats, 4, 1e-2)
+    base, _ = baum_welch(init, feats, 10, 1e-4, 1e-2)
+    human_idx = list(base.split.human_idx)
+    _, masks = detect_transition_states(base, feats, w=2)
+    for feat, mask in zip(feats, masks):
+        joint = viterbi_labels(base, feat).labels
+        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
+        assert np.array_equal(mask, dilate_mask(joint != human, 2))
+    assert any(m.any() for m in masks)
