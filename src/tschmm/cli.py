@@ -200,11 +200,9 @@ def cmd_predict(args) -> int:
                 pred = tsc.predict(model, human)
             else:
                 pred = gmr_predict(model, human)
-            for t in range(len(feat)):
-                row = [demo_id, t]
-                row += [repr(float(v)) for v in pred.frames[t, :n_pos]]
-                row += [repr(float(v)) for v in demo.robot_pos[t]]
-                writer.writerow(row)
+            rows = zip(pred.frames[:, :n_pos].tolist(), demo.robot_pos.tolist())
+            for t, (pred_row, true_row) in enumerate(rows):
+                writer.writerow([demo_id, t, *map(repr, pred_row), *map(repr, true_row)])
     print(f"wrote predictions for {len(ds.demos)} demos to {args.out}")
     return 0
 
@@ -224,12 +222,12 @@ def cmd_segment(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t", "label_joint", "label_human",
                          "mismatch", "windowed"])
-        for demo_id, (feat, joint, human) in enumerate(zip(feats, *labels)):
+        for demo_id, (joint, human) in enumerate(zip(*labels)):
             mismatch = joint != human
             windowed = dilate_mask(mismatch, window)
-            for t in range(len(feat)):
-                writer.writerow([demo_id, t, int(joint[t]), int(human[t]),
-                                 int(mismatch[t]), int(windowed[t])])
+            columns = (joint, human, mismatch.astype(int), windowed.astype(int))
+            for t, row in enumerate(zip(*(c.tolist() for c in columns))):
+                writer.writerow([demo_id, t, *row])
     print(f"wrote segmentation for {len(ds.demos)} demos to {args.out}")
     return 0
 

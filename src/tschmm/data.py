@@ -14,6 +14,7 @@ standing in for motion-capture recordings.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -193,7 +194,7 @@ def load_csv(path) -> Dataset:
                 vals = [float(v) for v in row[2:8]]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"{path}: line {lineno}: non-finite coordinate")
             rows.append((demo_id, t, vals, row[8], lineno))
 

@@ -88,9 +88,13 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
     chol = _cholesky(g.cov, "the covariance")
-    # solve L y = (x - mu)^T; the squared norm of y is the Mahalanobis term
-    y = solve_triangular(chol, (pts - g.mean).T, lower=True)
-    quad = np.sum(y * y, axis=0)
+    # solve L y = (x - mu)^T; the squared norm of y is the Mahalanobis term.
+    # A lone point is solved beside a copy of itself: BLAS takes another
+    # path for one right-hand side, and its rounding differs from the
+    # batch's, so a frame's density would depend on how many share a call
+    rhs = (pts - g.mean).T
+    y = solve_triangular(chol, rhs if len(pts) > 1 else rhs[:, [0, 0]], lower=True)
+    quad = np.sum(y * y, axis=0)[: len(pts)]
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     out = -0.5 * (g.dim * _LOG_2PI + log_det + quad)
     return float(out[0]) if single else out

@@ -248,13 +248,16 @@ def _forward_backward(
         if backward:
             beta_hat = np.empty((t_max, n, s))
             beta_hat[-1] = 1.0
-            ends = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
+            # the sequences whose last frame is t, keyed by t
+            ends: dict[int, list[int]] = {}
+            for k, length in enumerate(lengths.tolist()):
+                ends.setdefault(length - 1, []).append(k)
             norm = np.ones((t_max, n))
             for t in range(t_max - 2, -1, -1):
                 v = (b_hat[t + 1] * beta_hat[t + 1]) @ trans.T
                 norm[t] = v.sum(axis=1)
                 np.divide(v, norm[t, :, None], out=beta_hat[t])
-                if ends[t].size:
+                if t in ends:
                     beta_hat[t, ends[t]] = 1.0
             ok = np.isfinite(norm.T) & (norm.T > 0.0)
             if not ok.all():
@@ -497,6 +500,41 @@ def baum_welch(
     return current, history
 
 
+def _human_frames(model: HmmModel, human_obs) -> np.ndarray:
+    """The (T, D_human) frames that regression conditions on, checked
+    against the model's split."""
+    human_idx = model.split.human_idx
+    if not human_idx or not model.split.robot_idx:
+        raise ValueError("model split must include human and robot dimensions")
+    frames = _frames_of(human_obs)
+    if frames.shape[1] != len(human_idx):
+        raise ValueError(
+            f"human observations have {frames.shape[1]} dims, expected {len(human_idx)}"
+        )
+    return frames
+
+
+def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's human-marginal log density of the (T, D_human) frames,
+    (T, S), and its conditional mean of the robot dims given them, (T, S, R).
+
+    The conditional mean is affine in the frame. It is applied by einsum,
+    not by a matrix product, because BLAS takes another path for a single
+    frame whose rounding differs: every row here depends on its own frame
+    only, so predicting on a prefix gives the first rows of predicting on
+    the whole sequence, bit for bit.
+    """
+    human_idx = list(model.split.human_idx)
+    s = model.num_states
+    log_b = np.empty((len(frames), s))
+    cond = np.empty((len(frames), s, len(model.split.robot_idx)))
+    for i, g in enumerate(model.emissions):
+        log_b[:, i] = log_density(frames, marginalize(g, human_idx))
+        gain, offset, _ = _conditional_affine(g, human_idx)
+        cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
+    return log_b, cond
+
+
 def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     """Predict robot dims from human dims by Gaussian mixture regression.
 
@@ -504,28 +542,13 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     marginal; the output is the responsibility-weighted sum of each state's
     conditional mean given the frame's human observation.
     """
-    human_idx = list(model.split.human_idx)
-    robot_idx = list(model.split.robot_idx)
-    if not human_idx or not robot_idx:
-        raise ValueError("model split must include human and robot dimensions")
-    frames = _frames_of(human_obs)
-    if frames.shape[1] != len(human_idx):
-        raise ValueError(
-            f"human observations have {frames.shape[1]} dims, expected {len(human_idx)}"
-        )
-    result = forward(model, frames, human_idx)
-    # conditional means are affine in the observation; stack per state
-    cond = np.stack(
-        [
-            frames @ gain.T + offset
-            for gain, offset, _ in (
-                _conditional_affine(g, human_idx) for g in model.emissions
-            )
-        ],
-        axis=1,
-    )
-    out = np.einsum("ts,tsr->tr", result.h, cond)
-    return FeatureSequence(out, model.split.restrict(robot_idx))
+    frames = _human_frames(model, human_obs)
+    log_b, cond = _human_marginal(model, frames)
+    h = _forward_backward(
+        model.priors, model.transitions, log_b[None], np.array([len(frames)])
+    ).a_hat[0]
+    out = np.einsum("ts,tsr->tr", h, cond)
+    return FeatureSequence(out, model.split.restrict(model.split.robot_idx))
 
 
 def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> SegmentLabels:

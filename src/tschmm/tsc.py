@@ -17,15 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .data import FeatureSequence
-from .gaussian import _conditional_affine, log_density, marginalize
 from .hmm import (
     HmmModel,
     SegmentLabels,
     TrainingError,
     _filtered_labels,
+    _forward_backward,
     _frames_of,
+    _human_frames,
+    _human_marginal,
     baum_welch,
-    forward,
     gmr_predict,
     init_temporal_bins,
     marginal_model,
@@ -75,6 +76,8 @@ class TscModel:
                     f"transition HMM dimension {self.transition.dim} "
                     f"differs from base {self.base.dim}"
                 )
+            if self.transition.split != self.base.split:
+                raise ValueError("transition HMM split differs from the base split")
 
 
 def dilate_mask(mask, w: int) -> np.ndarray:
@@ -194,54 +197,35 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     mixture does; unswitched frames reproduce the base prediction exactly.
     blend mode: base and transition states are weighted jointly per frame.
     """
-    base_pred = gmr_predict(model.base, human_obs)
+    base = model.base
     if model.fallback:
-        return base_pred
+        return gmr_predict(base, human_obs)
 
-    human_idx = list(model.base.split.human_idx)
-    frames = _frames_of(human_obs)
-    trans_marg = [marginalize(g, human_idx) for g in model.transition.emissions]
-    log_b_trans = np.column_stack([log_density(frames, g) for g in trans_marg])
-    trans_cond = np.stack(
-        [
-            frames @ gain.T + offset
-            for gain, offset, _ in (
-                _conditional_affine(g, human_idx) for g in model.transition.emissions
-            )
-        ],
-        axis=1,
-    )
-
-    h = forward(model.base, frames, human_idx).h
-    base_marg = [marginalize(g, human_idx) for g in model.base.emissions]
-    log_b_base = np.column_stack([log_density(frames, g) for g in base_marg])
+    # the base half of gmr_predict, its arrays kept for the gate
+    frames = _human_frames(base, human_obs)
+    log_b_base, base_cond = _human_marginal(base, frames)
+    h = _forward_backward(
+        base.priors, base.transitions, log_b_base[None], np.array([len(frames)])
+    ).a_hat[0]
+    log_b_trans, trans_cond = _human_marginal(model.transition, frames)
+    split = base.split.restrict(base.split.robot_idx)
 
     if model.mode == "gate":
         with np.errstate(divide="ignore"):
             log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
         fire = log_b_trans.max(axis=1) > log_mix_base
-        out = np.array(base_pred.frames)
+        out = np.einsum("ts,tsr->tr", h, base_cond)
         if np.any(fire):
             resp = _softmax_rows(log_b_trans[fire])
             out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
-        return FeatureSequence(out, base_pred.split)
+        return FeatureSequence(out, split)
 
     # blend: joint responsibilities over S + S_t components
     with np.errstate(divide="ignore"):
         log_w = np.hstack([np.log(h) + log_b_base, log_b_trans])
     resp = _softmax_rows(log_w)
-    base_cond = np.stack(
-        [
-            frames @ gain.T + offset
-            for gain, offset, _ in (
-                _conditional_affine(g, human_idx) for g in model.base.emissions
-            )
-        ],
-        axis=1,
-    )
-    cond = np.concatenate([base_cond, trans_cond], axis=1)
-    out = np.einsum("ts,tsr->tr", resp, cond)
-    return FeatureSequence(out, base_pred.split)
+    out = np.einsum("ts,tsr->tr", resp, np.concatenate([base_cond, trans_cond], axis=1))
+    return FeatureSequence(out, split)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:

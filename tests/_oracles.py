@@ -109,3 +109,60 @@ def e_step(priors, trans, log_bs, seqs):
         gammas.append(gamma)
         total_ll += float(log_c.sum())
     return pi_acc, trans_acc, resp, mean_acc, gammas, total_ll
+
+
+# --- gated and blended prediction ----------------------------------------------
+# The transition-state predictor's maths written out directly: explicit
+# solves for the conditional means, scipy densities, the per-sequence
+# forward pass above. An HMM is (priors, trans, means, covs).
+
+
+def _human_terms(hmm, human_idx, frames):
+    """Human-marginal log densities (T, S) and conditional robot means
+    (T, S, R) of each state, by explicit Gaussian conditioning."""
+    _, _, means, covs = hmm
+    h = np.asarray(human_idx)
+    r = np.setdiff1d(np.arange(means.shape[1]), h)
+    log_b, cond = [], []
+    for mean, cov in zip(means, covs):
+        log_b.append(
+            np.atleast_1d(multivariate_normal(mean[h], cov[np.ix_(h, h)]).logpdf(frames))
+        )
+        gain = np.linalg.solve(cov[np.ix_(h, h)], cov[np.ix_(h, r)]).T
+        cond.append(mean[r] + (frames - mean[h]) @ gain.T)
+    return np.column_stack(log_b), np.stack(cond, axis=1)
+
+
+def _softmax(a):
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def tsc_predict(base, trans, human_idx, frames):
+    """Base regression rows, gate rows, blend rows and the gate's margin
+    for (T, D_human) frames.
+
+    The base rows weight each state's conditional mean by the forward
+    variables of the human marginal. A frame fires when its margin, the
+    best transition-state human log density less the log of the
+    forward-weighted base mixture density, is positive; fired rows weight
+    the transition states' conditional means by their human densities
+    alone. Blend weights all S + S_t components jointly by forward-weighted
+    base densities and transition densities.
+    """
+    log_b, cond = _human_terms(base, human_idx, frames)
+    log_bt, cond_t = _human_terms(trans, human_idx, frames)
+    h, _, _ = scaled_forward(base[0], base[1], log_b)
+    rows = np.einsum("ts,tsr->tr", h, cond)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(h) + log_b
+    margin = log_bt.max(axis=1) - logsumexp(log_w, axis=1)
+    fire = margin > 0.0
+    gate = rows.copy()
+    gate[fire] = np.einsum("ts,tsr->tr", _softmax(log_bt[fire]), cond_t[fire])
+    blend = np.einsum(
+        "ts,tsr->tr",
+        _softmax(np.hstack([log_w, log_bt])),
+        np.concatenate([cond, cond_t], axis=1),
+    )
+    return rows, gate, blend, margin

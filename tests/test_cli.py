@@ -206,6 +206,48 @@ def test_segment_labels_match_per_demo_labelling(workdir, data_csv, trained):
         assert np.array_equal(rows[:, 3], human)
 
 
+def _reference_csv(header, rows) -> bytes:
+    """The writer's bytes for rows of per-element values."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def test_predict_and_segment_write_the_reference_bytes(workdir, data_csv, trained):
+    model_path, _ = trained
+    model = load_model(model_path)
+    ds = load_csv(data_csv)
+    human_idx = list(model.base.split.human_idx)
+    pred_rows, seg_rows = [], []
+    for demo_id, demo in enumerate(ds.demos):
+        feat = build_features(demo)
+        pred = tsc.predict(model, feat.restrict(human_idx)).frames
+        joint = viterbi_labels(model.base, feat).labels
+        human = viterbi_labels(model.base, feat.frames[:, human_idx], human_idx).labels
+        windowed = tsc.dilate_mask(joint != human, model.window)
+        for t in range(len(feat)):
+            pred_rows.append([demo_id, t]
+                             + [repr(float(v)) for v in pred[t, :3]]
+                             + [repr(float(v)) for v in demo.robot_pos[t]])
+            seg_rows.append([demo_id, t, int(joint[t]), int(human[t]),
+                             int(joint[t] != human[t]), int(windowed[t])])
+
+    pred_path, seg_path = workdir / "bytes_pred.csv", workdir / "bytes_seg.csv"
+    assert run_cli("predict", "--model", str(model_path), "--data", str(data_csv),
+                   "--out", str(pred_path))[0] == 0
+    assert run_cli("segment", "--model", str(model_path), "--data", str(data_csv),
+                   "--out", str(seg_path))[0] == 0
+    assert pred_path.read_bytes() == _reference_csv(
+        ["demo_id", "t", "pred_x", "pred_y", "pred_z", "true_x", "true_y", "true_z"],
+        pred_rows,
+    )
+    assert seg_path.read_bytes() == _reference_csv(
+        ["demo_id", "t", "label_joint", "label_human", "mismatch", "windowed"], seg_rows
+    )
+
+
 def test_segment_single_state_model_never_mismatches(workdir, data_csv):
     ds = load_csv(data_csv)
     feats = [build_features(d) for d in ds.demos]

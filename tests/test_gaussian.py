@@ -35,13 +35,16 @@ def test_log_density_matches_frozen_bivariate_value():
 
 
 def test_log_density_batch_agrees_with_single_rows():
+    # bit for bit: a frame's density does not depend on the batch it is in
     rng = np.random.default_rng(7)
-    g = GaussianState(rng.normal(size=3), _random_pd_cov(rng, 3))
-    xs = rng.normal(size=(11, 3))
-    batch = log_density(xs, g)
-    assert batch.shape == (11,)
-    for t in range(11):
-        assert batch[t] == pytest.approx(log_density(xs[t], g), abs=1e-12)
+    for dim in (1, 3, 6, 12):
+        g = GaussianState(rng.normal(size=dim), _random_pd_cov(rng, dim))
+        xs = rng.normal(size=(11, dim))
+        batch = log_density(xs, g)
+        assert batch.shape == (11,)
+        for t in range(11):
+            assert batch[t] == log_density(xs[t], g)
+            assert np.array_equal(log_density(xs[: t + 1], g), batch[: t + 1])
 
 
 def test_log_density_rejects_wrong_width():

@@ -1,10 +1,20 @@
 """Tests for transition-state detection, the second-level HMM, and prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tschmm import tsc
-from tschmm.data import DimensionSplit, FeatureSequence, build_features, synth_generate
+import _oracles
+from tschmm import hmm, tsc
+from tschmm.data import (
+    SYNTH_KINDS,
+    DimensionSplit,
+    FeatureSequence,
+    build_features,
+    sample_batch,
+    synth_generate,
+)
 from tschmm.gaussian import GaussianState, log_density, marginalize
 from tschmm.hmm import (
     HmmModel,
@@ -204,6 +214,9 @@ def test_tsc_model_invariants():
     )
     with pytest.raises(ValueError, match="dimension"):
         TscModel(base=base, transition=small, window=2)
+    other = HmmModel(trans.priors, trans.transitions, trans.emissions, DimensionSplit((1,), (0,)))
+    with pytest.raises(ValueError, match="split differs"):
+        TscModel(base=base, transition=other, window=2)
 
 
 # --- predict ----------------------------------------------------------------------------
@@ -325,3 +338,91 @@ def test_detect_matches_per_demo_labelling_on_a_corpus():
         human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
         assert np.array_equal(mask, dilate_mask(joint != human, 2))
     assert any(m.any() for m in masks)
+
+
+# --- predict on trained models ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=SYNTH_KINDS)
+def trained_kind(request):
+    """Criterion 6's synth seed 0 corpus and first split: the fitted model
+    and the human frames of the 15 held-out demos."""
+    ds, _ = synth_generate(request.param, n_demos=30, noise_sigma=0.005, seed=0)
+    train, test = sample_batch(ds, 15, 0)
+    feats = [build_features(d) for d in train.demos]
+    base, _ = baum_welch(init_temporal_bins(feats, 4, 1e-2), feats)
+    model = fit(base, feats)
+    assert not model.fallback
+    human_idx = list(base.split.human_idx)
+    return model, [build_features(d).frames[:, human_idx] for d in test.demos]
+
+
+def _hmm_params(model):
+    return (
+        model.priors,
+        model.transitions,
+        np.array([g.mean for g in model.emissions]),
+        np.array([g.cov for g in model.emissions]),
+    )
+
+
+def test_predict_on_a_prefix_gives_the_first_rows_bit_for_bit(trained_kind):
+    model, held_out = trained_kind
+    for human in held_out:
+        full_gmr = gmr_predict(model.base, human).frames
+        full = predict(model, human).frames
+        for k in range(1, len(human) + 1):
+            assert np.array_equal(gmr_predict(model.base, human[:k]).frames, full_gmr[:k])
+            assert np.array_equal(predict(model, human[:k]).frames, full[:k])
+
+
+def test_predict_runs_the_forward_kernel_once(trained_kind, monkeypatch):
+    model, held_out = trained_kind
+    calls = []
+    original = hmm._forward_backward
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "_forward_backward", counted)
+    monkeypatch.setattr(tsc, "_forward_backward", counted)
+    human = held_out[0]
+    predict(model, human)
+    assert calls == [(1, len(human), model.base.num_states)]
+
+
+def test_predict_gate_and_blend_match_the_reference(trained_kind):
+    model, held_out = trained_kind
+    base, trans = _hmm_params(model.base), _hmm_params(model.transition)
+    human_idx = list(model.base.split.human_idx)
+    fired = 0
+    for human in held_out:
+        rows, gate, blend, margin = _oracles.tsc_predict(base, trans, human_idx, human)
+        # no frame sits so close to the threshold that rounding could flip it
+        assert np.all(np.abs(margin) > 1e-9)
+        base_rows = gmr_predict(model.base, human).frames
+        out = predict(model, human).frames
+        assert np.max(np.abs(base_rows - rows)) < 1e-12
+        assert np.max(np.abs(out - gate)) < 1e-12
+        blended = predict(replace(model, mode="blend"), human).frames
+        assert np.max(np.abs(blended - blend)) < 1e-12
+        # frames the gate holds are the base prediction, bit for bit
+        hold = margin < 0.0
+        assert np.array_equal(out[hold], base_rows[hold])
+        fired += int((~hold).sum())
+    assert fired > 0
+
+
+def test_predict_rejects_what_gmr_predict_rejects():
+    base = _excursion_base()
+    flat = HmmModel(base.priors, base.transitions, base.emissions, DimensionSplit((0, 1), ()))
+    cases = [
+        (base, "human observations have 2 dims, expected 1"),
+        (flat, "model split must include human and robot dimensions"),
+    ]
+    for hmm_model, message in cases:
+        model = TscModel(base=hmm_model, transition=hmm_model, window=2)
+        for call, target in ((gmr_predict, hmm_model), (predict, model)):
+            with pytest.raises(ValueError, match=message):
+                call(target, np.zeros((5, 2)))
