@@ -34,7 +34,6 @@ from .gaussian import GaussianState, condition, log_density, marginalize, regula
 from .hmm import (
     ForwardResult,
     HmmModel,
-    SegmentLabels,
     TrainingError,
     baum_welch,
     forward,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +71,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="EM convergence threshold (default 1e-4)")
     p.add_argument("--window", type=_nonneg_int, default=2,
                    help="frames marked on each side of a mismatch (default 2)")
-    p.add_argument("--mode", choices=tsc.MODES, default="gate",
-                   help="how transition states enter prediction (default gate)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,8 +164,6 @@ def cmd_train(args) -> int:
     samples, masks = detect_transition_states(base, seqs, args.window)
     model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
                               args.window, args.reg, args.max_iter, args.tol)
-    if model.mode != args.mode:
-        model = replace(model, mode=args.mode)
     save_model(model, args.out)
     print(f"log-likelihood: {history[-1]!r} after {len(history) - 1} iterations")
     print(f"transition samples: {len(samples)}")
@@ -243,7 +238,6 @@ def cmd_eval(args) -> int:
         batch_size=args.batch,
         n_seeds=args.seeds,
         window=args.window,
-        mode=args.mode,
     )
     report = run_experiment(ds, cfg)
     print(render_table(report), end="")

@@ -8,7 +8,6 @@ squared-error numbers live on a centimeter scale.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ class ExperimentConfig:
     batch_size: int = 15
     n_seeds: int = 100
     window: int = 2
-    mode: str = "gate"
 
     def __post_init__(self):
         for name in ("base_states", "tsc_states", "max_iter", "batch_size", "n_seeds"):
@@ -54,8 +52,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.reg_eps < 0 or self.tol < 0 or self.window < 0:
             raise ValueError("reg_eps, tol and window must be non-negative")
-        if self.mode not in tsc.MODES:
-            raise ValueError(f"mode must be one of {tsc.MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +106,6 @@ def run_single(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[float, fl
         model = tsc.fit(
             base, feats, cfg.tsc_states, cfg.window, cfg.reg_eps, cfg.max_iter, cfg.tol
         )
-        if model.mode != cfg.mode:
-            model = dataclasses.replace(model, mode=cfg.mode)
         hmm_scores = []
         tsc_scores = []
         for demo in test.demos:

@@ -37,7 +37,6 @@ from .gaussian import (
 __all__ = [
     "HmmModel",
     "ForwardResult",
-    "SegmentLabels",
     "TrainingError",
     "DimensionSplit",
     "init_temporal_bins",
@@ -130,29 +129,6 @@ class ForwardResult:
         la.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "log_alpha", la)
-
-
-@dataclass(frozen=True)
-class SegmentLabels:
-    """Per-frame most-likely-state labels and a transition-frame mask."""
-
-    labels: np.ndarray
-    mismatch_mask: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        mask = np.asarray(self.mismatch_mask, dtype=bool)
-        if labels.ndim != 1 or mask.shape != labels.shape:
-            raise ValueError("labels and mismatch_mask must be vectors of equal length")
-        if labels.size and labels.min() < 0:
-            raise ValueError("labels must be non-negative")
-        labels.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mismatch_mask", mask)
-
-    def __len__(self) -> int:
-        return self.labels.size
 
 
 def _frames_of(obs) -> np.ndarray:
@@ -279,13 +255,11 @@ def _filtered_labels(model: HmmModel, seqs: Sequence[np.ndarray]) -> list[np.nda
     return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
 
 
-def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardResult:
-    """Scaled forward recursion over the model restricted to `dims`.
-
-    The first frame uses priors times emission density; later frames apply
-    the transition-weighted sum. `obs` must have one column per entry of
-    `dims` (all model dimensions when dims is None).
-    """
+def _restricted(
+    model: HmmModel, obs, dims: Sequence[int] | None
+) -> tuple[HmmModel, np.ndarray]:
+    """The model marginalized to `dims` (itself when dims is None or all of
+    its dims) and the frames of `obs`, checked to have one column per dim."""
     frames = _frames_of(obs)
     dims = list(range(model.dim)) if dims is None else [int(d) for d in dims]
     if frames.shape[1] != len(dims):
@@ -293,6 +267,17 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
             f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
         )
     sub = model if dims == list(range(model.dim)) else marginal_model(model, dims)
+    return sub, frames
+
+
+def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardResult:
+    """Scaled forward recursion over the model restricted to `dims`.
+
+    The first frame uses priors times emission density; later frames apply
+    the transition-weighted sum. `obs` must have one column per entry of
+    `dims` (all model dimensions when dims is None).
+    """
+    sub, frames = _restricted(model, obs, dims)
     log_b = _log_emissions(sub.emissions, frames)
     passes = _forward_backward(
         sub.priors, sub.transitions, log_b[None], np.array([len(frames)])
@@ -551,14 +536,14 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     return FeatureSequence(out, model.split.restrict(model.split.robot_idx))
 
 
-def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> SegmentLabels:
-    """Per-frame argmax of the normalized forward variable; ties -> lowest.
+def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> np.ndarray:
+    """(T,) per-frame argmax of the normalized forward variable over the
+    model restricted to `dims`; ties -> lowest.
 
     Despite the name this is not a Viterbi path: each label is the most
     likely state given the frames up to and including its own (the
     filtered estimate), so consecutive labels need not form a likely, or
     even a possible, state path.
     """
-    result = forward(model, obs, dims)
-    labels = np.argmax(result.h, axis=1)
-    return SegmentLabels(labels, np.zeros(labels.size, dtype=bool))
+    sub, frames = _restricted(model, obs, dims)
+    return _filtered_labels(sub, [frames])[0]

@@ -71,15 +71,22 @@ def _indices(d, key: str, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _emission(e, where: str) -> GaussianState:
+    g = GaussianState(_array(e, "mean", where), _array(e, "cov", where))
+    try:
+        np.linalg.cholesky(g.cov)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{where}.cov is not positive definite") from None
+    return g
+
+
 def _hmm_from_dict(d, where: str) -> HmmModel:
     priors = _array(d, "priors", where)
     transitions = _array(d, "transitions", where)
     emissions = _field(d, "emissions", list, where)
     split = _field(d, "split", dict, where)
     states = tuple(
-        GaussianState(_array(e, "mean", f"{where}.emissions[{k}]"),
-                      _array(e, "cov", f"{where}.emissions[{k}]"))
-        for k, e in enumerate(emissions)
+        _emission(e, f"{where}.emissions[{k}]") for k, e in enumerate(emissions)
     )
     split = DimensionSplit(
         _indices(split, "human_idx", f"{where}.split"),
@@ -94,7 +101,9 @@ def save_model(model, path) -> None:
             "base": _hmm_to_dict(model.base),
             "transition": None if model.fallback else _hmm_to_dict(model.transition),
             "window": model.window,
-            "mode": model.mode,
+            # gate is the only prediction rule; the key stays so that
+            # releases which still require it can read these files
+            "mode": "gate",
             "fallback": model.fallback,
         }
         kind = "tsc"
@@ -115,7 +124,8 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model file")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # JSON true loads as a bool, which Python counts as equal to 1
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
@@ -128,13 +138,17 @@ def load_model(path):
         fallback = _field(payload, "fallback", bool, where)
         # null after a fallback; otherwise checked as an HMM below
         transition = _field(payload, "transition", object, where)
+        if fallback and transition is not None:
+            raise ValueError(f"{where}.transition must be null when fallback is true")
+        mode = payload.get("mode", "gate")
+        if mode != "gate":
+            raise ValueError(f"{where}.mode {mode!r} is no longer supported; use 'gate'")
         return TscModel(
             base=_hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base"),
             transition=(
                 None if fallback else _hmm_from_dict(transition, f"{where}.transition")
             ),
             window=_field(payload, "window", int, where),
-            mode=_field(payload, "mode", str, where),
             fallback=fallback,
         )
     raise ValueError(f"{path}: unknown model_kind {kind!r}")

@@ -19,7 +19,6 @@ import numpy as np
 from .data import FeatureSequence
 from .hmm import (
     HmmModel,
-    SegmentLabels,
     TrainingError,
     _filtered_labels,
     _forward_backward,
@@ -34,7 +33,6 @@ from .hmm import (
 
 __all__ = [
     "TscModel",
-    "SegmentLabels",
     "dilate_mask",
     "detect_transition_states",
     "fit",
@@ -42,8 +40,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-MODES = ("gate", "blend")
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,11 @@ class TscModel:
     base: HmmModel
     transition: HmmModel | None
     window: int
-    mode: str = "gate"
     fallback: bool = False
 
     def __post_init__(self):
         if self.window < 0:
             raise ValueError("window must be non-negative")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.fallback:
             if self.transition is not None:
                 raise ValueError("fallback model must not carry a transition HMM")
@@ -87,8 +80,10 @@ def dilate_mask(mask, w: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if w == 0 or mask.size == 0:
         return mask.copy()
-    kernel = np.ones(2 * w + 1)
-    return np.convolve(mask.astype(float), kernel, mode="same") > 0.0
+    # the full convolution, cut to the input's span: "same" would return
+    # 2w + 1 entries for a mask shorter than the kernel
+    full = np.convolve(mask.astype(float), np.ones(2 * w + 1), mode="full")
+    return full[w : w + mask.size] > 0.0
 
 
 def _joint_and_human_labels(
@@ -192,10 +187,11 @@ def _fit_detected(
 def predict(model: TscModel, human_obs) -> FeatureSequence:
     """Predict robot dims, letting transition states take over where they win.
 
-    gate mode: a frame switches to the transition model when the best
-    transition state explains the human observation better than the base
-    mixture does; unswitched frames reproduce the base prediction exactly.
-    blend mode: base and transition states are weighted jointly per frame.
+    A frame switches to the transition model when its best transition state
+    explains the human observation better than the forward-weighted base
+    mixture does; it then weights the transition states' conditional means
+    by their human densities alone. Every other frame, and every frame of a
+    fallback model, reproduces the base prediction (`gmr_predict`) exactly.
     """
     base = model.base
     if model.fallback:
@@ -210,21 +206,13 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     log_b_trans, trans_cond = _human_marginal(model.transition, frames)
     split = base.split.restrict(base.split.robot_idx)
 
-    if model.mode == "gate":
-        with np.errstate(divide="ignore"):
-            log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
-        fire = log_b_trans.max(axis=1) > log_mix_base
-        out = np.einsum("ts,tsr->tr", h, base_cond)
-        if np.any(fire):
-            resp = _softmax_rows(log_b_trans[fire])
-            out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
-        return FeatureSequence(out, split)
-
-    # blend: joint responsibilities over S + S_t components
     with np.errstate(divide="ignore"):
-        log_w = np.hstack([np.log(h) + log_b_base, log_b_trans])
-    resp = _softmax_rows(log_w)
-    out = np.einsum("ts,tsr->tr", resp, np.concatenate([base_cond, trans_cond], axis=1))
+        log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
+    fire = log_b_trans.max(axis=1) > log_mix_base
+    out = np.einsum("ts,tsr->tr", h, base_cond)
+    if np.any(fire):
+        resp = _softmax_rows(log_b_trans[fire])
+        out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
     return FeatureSequence(out, split)
 
 

@@ -111,7 +111,7 @@ def e_step(priors, trans, log_bs, seqs):
     return pi_acc, trans_acc, resp, mean_acc, gammas, total_ll
 
 
-# --- gated and blended prediction ----------------------------------------------
+# --- gated prediction --------------------------------------------------------
 # The transition-state predictor's maths written out directly: explicit
 # solves for the conditional means, scipy densities, the per-sequence
 # forward pass above. An HMM is (priors, trans, means, covs).
@@ -139,16 +139,15 @@ def _softmax(a):
 
 
 def tsc_predict(base, trans, human_idx, frames):
-    """Base regression rows, gate rows, blend rows and the gate's margin
-    for (T, D_human) frames.
+    """Base regression rows, gate rows and the gate's margin for
+    (T, D_human) frames.
 
     The base rows weight each state's conditional mean by the forward
     variables of the human marginal. A frame fires when its margin, the
     best transition-state human log density less the log of the
     forward-weighted base mixture density, is positive; fired rows weight
     the transition states' conditional means by their human densities
-    alone. Blend weights all S + S_t components jointly by forward-weighted
-    base densities and transition densities.
+    alone.
     """
     log_b, cond = _human_terms(base, human_idx, frames)
     log_bt, cond_t = _human_terms(trans, human_idx, frames)
@@ -160,9 +159,4 @@ def tsc_predict(base, trans, human_idx, frames):
     fire = margin > 0.0
     gate = rows.copy()
     gate[fire] = np.einsum("ts,tsr->tr", _softmax(log_bt[fire]), cond_t[fire])
-    blend = np.einsum(
-        "ts,tsr->tr",
-        _softmax(np.hstack([log_w, log_bt])),
-        np.concatenate([cond, cond_t], axis=1),
-    )
-    return rows, gate, blend, margin
+    return rows, gate, margin

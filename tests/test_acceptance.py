@@ -201,10 +201,10 @@ def test_criterion_5_transition_localization():
             model, _ = baum_welch(model, feats, max_iter=40, tol=1e-4, eps=1e-4)
             human_idx = list(model.split.human_idx)
             for feat, truth in zip(feats, bounds):
-                joint = viterbi_labels(model, feat).labels
+                joint = viterbi_labels(model, feat)
                 human = viterbi_labels(
                     model, feat.frames[:, human_idx], human_idx
-                ).labels
+                )
                 idx = np.flatnonzero(joint != human)
                 if idx.size == 0:
                     continue
@@ -310,6 +310,6 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         for pair in zip(loaded.transition.emissions, model.transition.emissions):
             assert np.allclose(pair[0].mean, pair[1].mean, rtol=0.0, atol=1e-12)
             assert np.allclose(pair[0].cov, pair[1].cov, rtol=0.0, atol=1e-12)
-        assert (loaded.window, loaded.mode, loaded.fallback) == (
-            model.window, model.mode, model.fallback,
+        assert (loaded.window, loaded.fallback) == (
+            model.window, model.fallback,
         )

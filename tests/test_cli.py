@@ -14,7 +14,7 @@ import pytest
 
 from tschmm import tsc
 from tschmm.cli import main
-from tschmm.data import Dataset, Demonstration, build_features, load_csv
+from tschmm.data import Dataset, Demonstration, build_features, load_csv, save_csv
 from tschmm.evaluation import REPORT_COLUMNS, mse
 from tschmm.hmm import HmmModel, init_temporal_bins, viterbi_labels
 from tschmm.model_io import load_model, save_model
@@ -201,8 +201,8 @@ def test_segment_labels_match_per_demo_labelling(workdir, data_csv, trained):
     for demo_id, demo in enumerate(load_csv(data_csv).demos):
         feat = build_features(demo)
         rows = body[body[:, 0] == demo_id]
-        assert np.array_equal(rows[:, 2], viterbi_labels(base, feat).labels)
-        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
+        assert np.array_equal(rows[:, 2], viterbi_labels(base, feat))
+        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx)
         assert np.array_equal(rows[:, 3], human)
 
 
@@ -224,8 +224,8 @@ def test_predict_and_segment_write_the_reference_bytes(workdir, data_csv, traine
     for demo_id, demo in enumerate(ds.demos):
         feat = build_features(demo)
         pred = tsc.predict(model, feat.restrict(human_idx)).frames
-        joint = viterbi_labels(model.base, feat).labels
-        human = viterbi_labels(model.base, feat.frames[:, human_idx], human_idx).labels
+        joint = viterbi_labels(model.base, feat)
+        human = viterbi_labels(model.base, feat.frames[:, human_idx], human_idx)
         windowed = tsc.dilate_mask(joint != human, model.window)
         for t in range(len(feat)):
             pred_rows.append([demo_id, t]
@@ -301,6 +301,76 @@ def test_predict_model_missing_a_key_exits_two(workdir, data_csv, trained):
                          "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
     assert rc == 2
     assert "model.base is missing the required key 'split'" in err
+
+
+def _edited_model(workdir, trained, name, edit):
+    """A copy of the trained model file with `edit` applied to its JSON."""
+    doc = json.loads(trained[0].read_text())
+    edit(doc)
+    path = workdir / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_predict_model_without_mode_writes_the_same_predictions(workdir, data_csv, trained):
+    model_path, _ = trained
+    assert json.loads(model_path.read_text())["model"]["mode"] == "gate"
+    no_mode = _edited_model(workdir, trained, "no_mode.json",
+                            lambda doc: doc["model"].pop("mode"))
+    outs = [workdir / "with_mode.csv", workdir / "without_mode.csv"]
+    for path, out in zip((model_path, no_mode), outs):
+        assert run_cli("predict", "--model", str(path), "--data", str(data_csv),
+                       "--out", str(out))[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("blend.json", lambda doc: doc["model"].update(mode="blend"),
+         "model.mode 'blend' is no longer supported"),
+        ("not_pd.json",
+         lambda doc: doc["model"]["base"]["emissions"][0].update(
+             cov=np.zeros((12, 12)).tolist()),
+         "model.base.emissions[0].cov is not positive definite"),
+    ],
+    ids=["blend-mode", "zero-cov"],
+)
+def test_predict_rejected_model_file_exits_two(workdir, data_csv, trained, name, edit,
+                                               message):
+    path = _edited_model(workdir, trained, name, edit)
+    rc, _, err = run_cli("predict", "--model", str(path),
+                         "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
+    assert rc == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_mode_flag_is_an_unknown_argument(workdir, data_csv, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--data", str(data_csv), "--mode", "gate",
+                "--out", str(workdir / "m.json"))
+    assert exc.value.code == 2
+
+
+def test_train_and_segment_on_demos_shorter_than_the_dilation_kernel(workdir, data_csv):
+    # 4 frames per demo against the default window of 2 (a 5-frame kernel)
+    short = Dataset(
+        [Demonstration(d.human_pos[:4], d.robot_pos[:4]) for d in load_csv(data_csv).demos],
+        name="short",
+    )
+    short_csv, model_path = workdir / "short.csv", workdir / "short.json"
+    save_csv(short, short_csv)
+    rc, _, err = run_cli("train", "--data", str(short_csv), "--out", str(model_path))
+    assert rc == 0, err
+    seg_path = workdir / "short_seg.csv"
+    assert run_cli("segment", "--model", str(model_path), "--data", str(short_csv),
+                   "--out", str(seg_path))[0] == 0
+    body = np.array(read_rows(seg_path)[1:], dtype=int)
+    assert len(body) == 4 * len(short.demos)
+    for demo_id in range(len(short.demos)):
+        rows = body[body[:, 0] == demo_id]
+        assert np.array_equal(rows[:, 5], tsc.dilate_mask(rows[:, 4], 2))
 
 
 def test_invalid_flag_value_exits_two(workdir, data_csv):

@@ -242,6 +242,4 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(reg_eps=-1.0)
     with pytest.raises(ValueError):
-        ExperimentConfig(mode="mixed")
-    with pytest.raises(ValueError):
         ExperimentConfig(window=-2)

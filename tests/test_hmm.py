@@ -407,15 +407,14 @@ def test_viterbi_single_state_all_zero():
         np.array([1.0]), np.array([[1.0]]), np.zeros((1, 1)), np.ones((1, 1, 1))
     )
     labels = viterbi_labels(model, np.zeros((7, 1)))
-    assert np.array_equal(labels.labels, np.zeros(7, dtype=int))
-    assert not labels.mismatch_mask.any()
+    assert np.array_equal(labels, np.zeros(7, dtype=int))
     assert len(labels) == 7
 
 
 def test_viterbi_step_signal_switches_once():
     model = hand_model()
     obs = np.concatenate([np.zeros(10), np.full(10, 3.0)])[:, None]
-    labels = viterbi_labels(model, obs).labels
+    labels = viterbi_labels(model, obs)
     switches = np.flatnonzero(np.diff(labels) != 0)
     assert len(switches) == 1
     assert labels[0] == 0 and labels[-1] == 1
@@ -431,7 +430,7 @@ def test_viterbi_breaks_ties_toward_lower_state():
         emissions=(g, g),
         split=DimensionSplit((0,), ()),
     )
-    labels = viterbi_labels(model, np.zeros((5, 1))).labels
+    labels = viterbi_labels(model, np.zeros((5, 1)))
     assert np.array_equal(labels, np.zeros(5, dtype=int))
 
 

@@ -42,12 +42,13 @@ def test_hmm_round_trip_is_exact(tmp_path):
 
 
 def test_tsc_round_trip_is_exact(tmp_path):
-    model = TscModel(base=_hmm(seed=2), transition=_hmm(seed=3), window=4, mode="blend")
+    model = TscModel(base=_hmm(seed=2), transition=_hmm(seed=3), window=4)
     path = tmp_path / "model.json"
     save_model(model, path)
+    assert json.loads(path.read_text())["model"]["mode"] == "gate"
     loaded = load_model(path)
     assert isinstance(loaded, TscModel)
-    assert loaded.window == 4 and loaded.mode == "blend" and not loaded.fallback
+    assert loaded.window == 4 and not loaded.fallback
     _assert_same_hmm(loaded.base, model.base)
     _assert_same_hmm(loaded.transition, model.transition)
 
@@ -135,7 +136,7 @@ def _saved_tsc_doc(tmp_path):
         (("base", "emissions", 1), "cov"),
         ((), "window"),
         ((), "fallback"),
-        ((), "mode"),
+        (("transition", "emissions", 0), "mean"),
         ((), "base"),
         ((), "transition"),
     ],
@@ -174,4 +175,40 @@ def test_load_names_a_mistyped_key(tmp_path):
     doc["model"] = None
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="model must be a JSON object, got NoneType"):
+        load_model(path)
+
+
+def test_load_accepts_a_file_without_mode(tmp_path):
+    path, doc = _saved_tsc_doc(tmp_path)
+    del doc["model"]["mode"]
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path)
+    _assert_same_hmm(loaded.base, _hmm(seed=5))
+    _assert_same_hmm(loaded.transition, _hmm(seed=6))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["model"].update(mode="blend"),
+         r"model\.mode 'blend' is no longer supported"),
+        (lambda doc: doc.update(format_version=True),
+         "unsupported format_version True, expected 1"),
+        (lambda doc: doc["model"].update(fallback=True),
+         r"model\.transition must be null when fallback is true"),
+        (lambda doc: doc["model"]["base"]["emissions"][1].update(
+            cov=np.zeros((4, 4)).tolist()),
+         r"model\.base\.emissions\[1\]\.cov is not positive definite"),
+        (lambda doc: doc["model"]["transition"]["emissions"][0].update(
+            cov=[[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]),
+         r"model\.transition\.emissions\[0\]\.cov is not positive definite"),
+    ],
+    ids=["blend-mode", "bool-version", "fallback-with-transition", "zero-cov",
+         "indefinite-cov"],
+)
+def test_load_rejects_a_malformed_tsc_file(tmp_path, edit, message):
+    path, doc = _saved_tsc_doc(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         load_model(path)

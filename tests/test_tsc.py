@@ -1,7 +1,5 @@
 """Tests for transition-state detection, the second-level HMM, and prediction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -86,6 +84,17 @@ def test_dilate_monotone_in_window():
         assert np.all(large[small])
 
 
+def test_dilate_matches_brute_force_on_short_masks():
+    # every mask of 1..10 frames, including those shorter than the 2w + 1 kernel
+    assert dilate_mask([1, 0, 0, 0], 2).tolist() == [True, True, True, False]
+    for t in range(1, 11):
+        for bits in range(2**t):
+            mask = np.array([(bits >> i) & 1 for i in range(t)], dtype=bool)
+            for w in range(6):
+                want = [mask[max(0, i - w) : i + w + 1].any() for i in range(t)]
+                assert dilate_mask(mask, w).tolist() == want
+
+
 def test_dilate_rejects_negative_window():
     with pytest.raises(ValueError, match="non-negative"):
         dilate_mask(np.zeros(3, dtype=bool), -1)
@@ -156,11 +165,20 @@ def test_fit_trains_transition_model_on_excursion_corpus():
     assert model.transition.num_states == 2
     assert model.transition.dim == base.dim
     assert model.transition.split == base.split
-    assert model.mode == "gate"
     # the transition states live where the masked frames are: robot values
     # between the resting 0 and the excursion 5
     for g in model.transition.emissions:
         assert -1.0 <= g.mean[1] <= 6.0
+
+
+def test_fit_on_demos_shorter_than_the_dilation_kernel():
+    # 4 frames against a window of 2: every mask covers its whole demo
+    base = _excursion_base()
+    demos = [_excursion_demo(t_total=4, start=1, stop=3) for _ in range(2)]
+    samples, masks = detect_transition_states(base, demos, w=2)
+    assert [m.tolist() for m in masks] == [[True] * 4] * 2
+    assert samples.shape == (8, 2)
+    assert not fit(base, demos, num_states=2, w=2).fallback
 
 
 def test_fit_validates_num_states():
@@ -200,8 +218,6 @@ def test_tsc_model_invariants():
     trans = _excursion_base()
     with pytest.raises(ValueError, match="window"):
         TscModel(base=base, transition=trans, window=-1)
-    with pytest.raises(ValueError, match="mode"):
-        TscModel(base=base, transition=trans, window=2, mode="both")
     with pytest.raises(ValueError, match="fallback"):
         TscModel(base=base, transition=trans, window=2, fallback=True)
     with pytest.raises(ValueError, match="requires a transition"):
@@ -284,23 +300,6 @@ def test_predict_gate_follows_documented_firing_rule():
     assert not np.allclose(base_out[fire], 1.0, atol=1e-2)
 
 
-def test_predict_blend_outputs_convex_combinations():
-    base = _excursion_base()
-    trans = HmmModel(
-        priors=np.array([1.0]),
-        transitions=np.array([[1.0]]),
-        emissions=(GaussianState([0.0, 3.0], np.eye(2)),),
-        split=_split2(),
-    )
-    model = TscModel(base=base, transition=trans, window=2, mode="blend")
-    human = np.linspace(-1.0, 1.0, 15)[:, None]
-    out = predict(model, human).frames
-    # every component conditional (independent blocks) predicts its robot
-    # mean, so the blend must stay inside [0, 5] u [3] = [0, 5]
-    assert np.all(out >= 0.0) and np.all(out <= 5.0)
-    assert out.shape == (15, 1)
-
-
 def test_predict_output_split_covers_robot_dims_only():
     base = _excursion_base()
     model = TscModel(base=base, transition=None, window=0, fallback=True)
@@ -334,8 +333,8 @@ def test_detect_matches_per_demo_labelling_on_a_corpus():
     human_idx = list(base.split.human_idx)
     _, masks = detect_transition_states(base, feats, w=2)
     for feat, mask in zip(feats, masks):
-        joint = viterbi_labels(base, feat).labels
-        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx).labels
+        joint = viterbi_labels(base, feat)
+        human = viterbi_labels(base, feat.frames[:, human_idx], human_idx)
         assert np.array_equal(mask, dilate_mask(joint != human, 2))
     assert any(m.any() for m in masks)
 
@@ -344,17 +343,25 @@ def test_detect_matches_per_demo_labelling_on_a_corpus():
 
 
 @pytest.fixture(scope="module", params=SYNTH_KINDS)
-def trained_kind(request):
-    """Criterion 6's synth seed 0 corpus and first split: the fitted model
-    and the human frames of the 15 held-out demos."""
+def criterion6_split(request):
+    """Criterion 6's synth seed 0 corpus and first split: the trained base
+    HMM, the 15 training and the 15 held-out feature sequences."""
     ds, _ = synth_generate(request.param, n_demos=30, noise_sigma=0.005, seed=0)
     train, test = sample_batch(ds, 15, 0)
     feats = [build_features(d) for d in train.demos]
     base, _ = baum_welch(init_temporal_bins(feats, 4, 1e-2), feats)
+    return base, feats, [build_features(d) for d in test.demos]
+
+
+@pytest.fixture(scope="module")
+def trained_kind(criterion6_split):
+    """The fitted model of `criterion6_split` and the human frames of its
+    held-out demos."""
+    base, feats, held_out = criterion6_split
     model = fit(base, feats)
     assert not model.fallback
     human_idx = list(base.split.human_idx)
-    return model, [build_features(d).frames[:, human_idx] for d in test.demos]
+    return model, [f.frames[:, human_idx] for f in held_out]
 
 
 def _hmm_params(model):
@@ -398,20 +405,28 @@ def test_predict_gate_and_blend_match_the_reference(trained_kind):
     human_idx = list(model.base.split.human_idx)
     fired = 0
     for human in held_out:
-        rows, gate, blend, margin = _oracles.tsc_predict(base, trans, human_idx, human)
+        rows, gate, margin = _oracles.tsc_predict(base, trans, human_idx, human)
         # no frame sits so close to the threshold that rounding could flip it
         assert np.all(np.abs(margin) > 1e-9)
         base_rows = gmr_predict(model.base, human).frames
         out = predict(model, human).frames
         assert np.max(np.abs(base_rows - rows)) < 1e-12
         assert np.max(np.abs(out - gate)) < 1e-12
-        blended = predict(replace(model, mode="blend"), human).frames
-        assert np.max(np.abs(blended - blend)) < 1e-12
         # frames the gate holds are the base prediction, bit for bit
         hold = margin < 0.0
         assert np.array_equal(out[hold], base_rows[hold])
         fired += int((~hold).sum())
     assert fired > 0
+
+
+def test_viterbi_labels_are_the_forward_argmax(criterion6_split):
+    base, _, held_out = criterion6_split
+    human_idx = list(base.split.human_idx)
+    for feat in held_out:
+        for frames, dims in ((feat.frames, None), (feat.frames[:, human_idx], human_idx)):
+            labels = viterbi_labels(base, frames, dims)
+            assert labels.shape == (len(frames),)
+            assert np.array_equal(labels, np.argmax(forward(base, frames, dims).h, axis=1))
 
 
 def test_predict_rejects_what_gmr_predict_rejects():
