@@ -268,6 +268,8 @@ def build_features(demo: Demonstration) -> FeatureSequence:
 
 def sample_batch(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random split into n training demos and the remainder."""
+    if n < 1:
+        raise ValueError(f"batch size must be at least 1, got {n}")
     if n > len(ds.demos):
         raise ValueError(f"requested batch of {n} from {len(ds.demos)} demos")
     rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ squared-error numbers live on a centimeter scale.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -63,7 +62,6 @@ class InteractionResult:
     tsc_mse_std: float
     n_runs: int
     n_failed: int
-    seconds_per_run: float
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,6 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     """Aggregate run_single over seeds 0..n_seeds-1; failed seeds are counted."""
     results = []
     failed = 0
-    started = time.perf_counter()
     for seed in range(cfg.n_seeds):
         try:
             results.append(run_single(ds, cfg, seed))
@@ -132,7 +129,6 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
             logger.warning("%s", exc)
     if not results:
         raise TrainingError(f"all {cfg.n_seeds} seeds failed")
-    elapsed = time.perf_counter() - started
     arr = np.array(results)
     row = InteractionResult(
         interaction=ds.name or "dataset",
@@ -142,7 +138,6 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
         tsc_mse_std=float(arr[:, 1].std()),
         n_runs=len(results),
         n_failed=failed,
-        seconds_per_run=elapsed / cfg.n_seeds,
     )
     return ExperimentReport(rows=(row,))
 

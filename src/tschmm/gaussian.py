@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "GaussianState",
@@ -76,6 +76,21 @@ def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
         ) from exc
 
 
+def _log_density(pts: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """(N,) log densities of the rows of `pts` under N(mean, chol chol^T).
+
+    Solves L y = (x - mu)^T; the squared norm of y is the Mahalanobis term.
+    A lone point is solved beside a copy of itself: BLAS takes another path
+    for one right-hand side, and its rounding differs from the batch's, so
+    a frame's density would depend on how many share a call.
+    """
+    rhs = (pts - mean).T
+    y = solve_triangular(chol, rhs if len(pts) > 1 else rhs[:, [0, 0]], lower=True)
+    quad = np.sum(y * y, axis=0)[: len(pts)]
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (len(mean) * _LOG_2PI + log_det + quad)
+
+
 def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     """Log density ln N(x; g.mean, g.cov).
 
@@ -83,21 +98,11 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     scalar or an (N,) array correspondingly.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
-    chol = _cholesky(g.cov, "the covariance")
-    # solve L y = (x - mu)^T; the squared norm of y is the Mahalanobis term.
-    # A lone point is solved beside a copy of itself: BLAS takes another
-    # path for one right-hand side, and its rounding differs from the
-    # batch's, so a frame's density would depend on how many share a call
-    rhs = (pts - g.mean).T
-    y = solve_triangular(chol, rhs if len(pts) > 1 else rhs[:, [0, 0]], lower=True)
-    quad = np.sum(y * y, axis=0)[: len(pts)]
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    out = -0.5 * (g.dim * _LOG_2PI + log_det + quad)
-    return float(out[0]) if single else out
+    out = _log_density(pts, g.mean, _cholesky(g.cov, "the covariance"))
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def _check_index_list(idx: Sequence[int], dim: int, name: str = "idx") -> np.ndarray:
@@ -118,35 +123,26 @@ def marginalize(g: GaussianState, idx: Sequence[int]) -> GaussianState:
 
 
 def _conditional_affine(
-    g: GaussianState, obs_idx: Sequence[int]
+    g: GaussianState, obs_idx: np.ndarray, free_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine map of the conditional: mean(obs) = offset + gain @ obs.
 
-    Returns (gain, offset, cond_cov) over the unobserved dimensions in
-    ascending order. Shared by condition() and mixture regression, which
-    applies the same map to many observations at once.
+    Takes checked, disjoint index arrays. Returns (chol, gain, offset): the
+    lower Cholesky factor of the observed block, which also serves that
+    block's density (`_log_density`), and the map onto the `free_idx` dims.
     """
-    obs_idx = _check_index_list(obs_idx, g.dim, "obs_idx")
-    free_idx = np.setdiff1d(np.arange(g.dim), obs_idx)
-    if free_idx.size == 0:
-        raise ValueError("cannot condition on every dimension")
-
-    s11 = g.cov[np.ix_(obs_idx, obs_idx)]
     s12 = g.cov[np.ix_(obs_idx, free_idx)]
-    s22 = g.cov[np.ix_(free_idx, free_idx)]
     try:
-        factor = cho_factor(s11, lower=True)
+        chol = np.linalg.cholesky(g.cov[np.ix_(obs_idx, obs_idx)])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "observed-block covariance is singular; regularize the covariance "
             "before conditioning"
         ) from exc
-    # gain = S21 S11^-1, computed as (S11^-1 S12)^T
-    gain = cho_solve(factor, s12).T
-    offset = g.mean[free_idx] - gain @ g.mean[obs_idx]
-    cond_cov = s22 - gain @ s12
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return gain, offset, cond_cov
+    # gain = S21 S11^-1, computed as (L^-T L^-1 S12)^T
+    y = solve_triangular(chol, s12, lower=True)
+    gain = solve_triangular(chol, y, lower=True, trans="T").T
+    return chol, gain, g.mean[free_idx] - gain @ g.mean[obs_idx]
 
 
 def condition(g: GaussianState, obs_idx: Sequence[int], obs_val: np.ndarray) -> GaussianState:
@@ -155,14 +151,18 @@ def condition(g: GaussianState, obs_idx: Sequence[int], obs_val: np.ndarray) -> 
     mean = mu2 + S21 S11^-1 (obs_val - mu1)
     cov  = S22 - S21 S11^-1 S12
     """
-    checked = _check_index_list(obs_idx, g.dim, "obs_idx")
+    obs_idx = _check_index_list(obs_idx, g.dim, "obs_idx")
     obs_val = np.asarray(obs_val, dtype=float)
-    if obs_val.shape != (checked.size,):
+    if obs_val.shape != (obs_idx.size,):
         raise ValueError(
-            f"obs_val has shape {obs_val.shape}, expected ({checked.size},)"
+            f"obs_val has shape {obs_val.shape}, expected ({obs_idx.size},)"
         )
-    gain, offset, cond_cov = _conditional_affine(g, obs_idx)
-    return GaussianState(offset + gain @ obs_val, cond_cov)
+    free_idx = np.setdiff1d(np.arange(g.dim), obs_idx)
+    if free_idx.size == 0:
+        raise ValueError("cannot condition on every dimension")
+    _, gain, offset = _conditional_affine(g, obs_idx, free_idx)
+    cond_cov = g.cov[np.ix_(free_idx, free_idx)] - gain @ g.cov[np.ix_(obs_idx, free_idx)]
+    return GaussianState(offset + gain @ obs_val, 0.5 * (cond_cov + cond_cov.T))
 
 
 def regularize(cov: np.ndarray, eps: float) -> np.ndarray:

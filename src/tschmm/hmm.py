@@ -29,6 +29,7 @@ from .data import DimensionSplit, FeatureSequence
 from .gaussian import (
     GaussianState,
     _conditional_affine,
+    _log_density,
     log_density,
     marginalize,
     regularize,
@@ -83,14 +84,14 @@ class HmmModel:
         if not np.all(np.isfinite(priors)) or np.any(priors < 0):
             raise ValueError("priors must be finite and non-negative")
         if abs(priors.sum() - 1.0) > _SIMPLEX_ATOL:
-            raise ValueError(f"priors sum to {priors.sum()!r}, expected 1")
+            raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
         if trans.shape != (s, s):
             raise ValueError(f"transitions must be {s}x{s}, got {trans.shape}")
         if not np.all(np.isfinite(trans)) or np.any(trans < 0):
             raise ValueError("transitions must be finite and non-negative")
         row_err = np.max(np.abs(trans.sum(axis=1) - 1.0))
         if row_err > _SIMPLEX_ATOL:
-            raise ValueError(f"transition rows deviate from 1 by {row_err!r}")
+            raise ValueError(f"transition rows deviate from 1 by {float(row_err)!r}")
         if len(emissions) != s:
             raise ValueError(f"expected {s} emissions, got {len(emissions)}")
         dims = {g.dim for g in emissions}
@@ -321,12 +322,8 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
 
     bins: list[list[np.ndarray]] = [[] for _ in range(num_states)]
     for seq in seqs:
-        q, r = divmod(len(seq), num_states)
-        start = 0
-        for k in range(num_states):
-            n = q + 1 if k < r else q
-            bins[k].append(seq[start : start + n])
-            start += n
+        for k, chunk in enumerate(np.array_split(seq, num_states)):
+            bins[k].append(chunk)
 
     emissions = []
     for chunks in bins:
@@ -503,21 +500,34 @@ def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np
     """Each state's human-marginal log density of the (T, D_human) frames,
     (T, S), and its conditional mean of the robot dims given them, (T, S, R).
 
+    One Cholesky factor of each state's human block serves both: the
+    density solves against it and the regression gain is built from it.
     The conditional mean is affine in the frame. It is applied by einsum,
     not by a matrix product, because BLAS takes another path for a single
     frame whose rounding differs: every row here depends on its own frame
     only, so predicting on a prefix gives the first rows of predicting on
     the whole sequence, bit for bit.
     """
-    human_idx = list(model.split.human_idx)
-    s = model.num_states
-    log_b = np.empty((len(frames), s))
-    cond = np.empty((len(frames), s, len(model.split.robot_idx)))
+    human_idx = np.array(model.split.human_idx)
+    robot_idx = np.array(model.split.robot_idx)
+    log_b = np.empty((len(frames), model.num_states))
+    cond = np.empty((len(frames), model.num_states, len(robot_idx)))
     for i, g in enumerate(model.emissions):
-        log_b[:, i] = log_density(frames, marginalize(g, human_idx))
-        gain, offset, _ = _conditional_affine(g, human_idx)
+        chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
+        log_b[:, i] = _log_density(frames, g.mean[human_idx], chol)
         cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
     return log_b, cond
+
+
+def _gmr(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture regression of the robot dims on checked (T, D_human) frames:
+    the (T, R) prediction, the forward variables of the human marginal
+    (T, S) that weight it, and the states' human log densities (T, S)."""
+    log_b, cond = _human_marginal(model, frames)
+    h = _forward_backward(
+        model.priors, model.transitions, log_b[None], np.array([len(frames)])
+    ).a_hat[0]
+    return np.einsum("ts,tsr->tr", h, cond), h, log_b
 
 
 def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
@@ -527,13 +537,8 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     marginal; the output is the responsibility-weighted sum of each state's
     conditional mean given the frame's human observation.
     """
-    frames = _human_frames(model, human_obs)
-    log_b, cond = _human_marginal(model, frames)
-    h = _forward_backward(
-        model.priors, model.transitions, log_b[None], np.array([len(frames)])
-    ).a_hat[0]
-    out = np.einsum("ts,tsr->tr", h, cond)
-    return FeatureSequence(out, model.split.restrict(model.split.robot_idx))
+    rows, _, _ = _gmr(model, _human_frames(model, human_obs))
+    return FeatureSequence(rows, model.split.restrict(model.split.robot_idx))
 
 
 def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> np.ndarray:

@@ -71,8 +71,16 @@ def _indices(d, key: str, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _built(where: str, make, *args):
+    """make(*args), a ValueError of the type's own checks prefixed by `where`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _emission(e, where: str) -> GaussianState:
-    g = GaussianState(_array(e, "mean", where), _array(e, "cov", where))
+    g = _built(where, GaussianState, _array(e, "mean", where), _array(e, "cov", where))
     try:
         np.linalg.cholesky(g.cov)
     except np.linalg.LinAlgError:
@@ -88,11 +96,9 @@ def _hmm_from_dict(d, where: str) -> HmmModel:
     states = tuple(
         _emission(e, f"{where}.emissions[{k}]") for k, e in enumerate(emissions)
     )
-    split = DimensionSplit(
-        _indices(split, "human_idx", f"{where}.split"),
-        _indices(split, "robot_idx", f"{where}.split"),
-    )
-    return HmmModel(priors, transitions, states, split)
+    idx = [_indices(split, key, f"{where}.split") for key in ("human_idx", "robot_idx")]
+    split = _built(f"{where}.split", DimensionSplit, *idx)
+    return _built(where, HmmModel, priors, transitions, states, split)
 
 
 def save_model(model, path) -> None:
@@ -143,12 +149,9 @@ def load_model(path):
         mode = payload.get("mode", "gate")
         if mode != "gate":
             raise ValueError(f"{where}.mode {mode!r} is no longer supported; use 'gate'")
-        return TscModel(
-            base=_hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base"),
-            transition=(
-                None if fallback else _hmm_from_dict(transition, f"{where}.transition")
-            ),
-            window=_field(payload, "window", int, where),
-            fallback=fallback,
-        )
+        base = _hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base")
+        if not fallback:
+            transition = _hmm_from_dict(transition, f"{where}.transition")
+        window = _field(payload, "window", int, where)
+        return _built(where, TscModel, base, transition, window, fallback)
     raise ValueError(f"{path}: unknown model_kind {kind!r}")

@@ -21,8 +21,8 @@ from .hmm import (
     HmmModel,
     TrainingError,
     _filtered_labels,
-    _forward_backward,
     _frames_of,
+    _gmr,
     _human_frames,
     _human_marginal,
     baum_welch,
@@ -197,23 +197,18 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     if model.fallback:
         return gmr_predict(base, human_obs)
 
-    # the base half of gmr_predict, its arrays kept for the gate
+    # gmr_predict's rows, with the arrays the gate weighs them by
     frames = _human_frames(base, human_obs)
-    log_b_base, base_cond = _human_marginal(base, frames)
-    h = _forward_backward(
-        base.priors, base.transitions, log_b_base[None], np.array([len(frames)])
-    ).a_hat[0]
+    out, h, log_b_base = _gmr(base, frames)
     log_b_trans, trans_cond = _human_marginal(model.transition, frames)
-    split = base.split.restrict(base.split.robot_idx)
 
     with np.errstate(divide="ignore"):
         log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
     fire = log_b_trans.max(axis=1) > log_mix_base
-    out = np.einsum("ts,tsr->tr", h, base_cond)
     if np.any(fire):
         resp = _softmax_rows(log_b_trans[fire])
         out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
-    return FeatureSequence(out, split)
+    return FeatureSequence(out, base.split.restrict(base.split.robot_idx))
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ to cross-check the package, built only on numpy and scipy.
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -109,6 +110,30 @@ def e_step(priors, trans, log_bs, seqs):
         gammas.append(gamma)
         total_ll += float(log_c.sum())
     return pi_acc, trans_acc, resp, mean_acc, gammas, total_ll
+
+
+# --- per-state regression terms ---------------------------------------------
+# The package's per-state regression terms as computed before one Cholesky
+# factor of the human block served both: the marginal density factored the
+# block with numpy, exactly as log_density(frames, marginalize(g, h)) did,
+# and the gain factored it again with scipy's cho_factor/cho_solve.
+
+
+def factored_twice_human_terms(mean, cov, human_idx, robot_idx, frames):
+    """One state's human-marginal log densities (T,) and conditional robot
+    means (T, R) of the (T, D_human) frames."""
+    h, r = np.asarray(human_idx), np.asarray(robot_idx)
+    s11 = cov[np.ix_(h, h)]
+    chol = np.linalg.cholesky(s11)
+    # a lone frame is solved beside a copy of itself, as log_density does
+    rhs = (frames - mean[h]).T
+    y = solve_triangular(chol, rhs if len(frames) > 1 else rhs[:, [0, 0]], lower=True)
+    quad = np.sum(y * y, axis=0)[: len(frames)]
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    log_b = -0.5 * (len(h) * float(np.log(2.0 * np.pi)) + log_det + quad)
+    gain = cho_solve(cho_factor(s11, lower=True), cov[np.ix_(h, r)]).T
+    cond = np.einsum("th,rh->tr", frames, gain) + (mean[r] - gain @ mean[h])
+    return log_b, cond
 
 
 # --- gated prediction --------------------------------------------------------

@@ -8,6 +8,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,40 @@ def test_predict_rejected_model_file_exits_two(workdir, data_csv, trained, name,
                          "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
     assert rc == 2
     assert message in err
+
+
+def _set_split(hmm_doc, human_idx, robot_idx):
+    hmm_doc["split"] = {"human_idx": human_idx, "robot_idx": robot_idx}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["base"]["emissions"][1]["cov"][0].__setitem__(1, 1.0),
+         r"model\.base\.emissions\[1\]: cov must be symmetric to within 1e-12"),
+        (lambda m: m.update(window=-1),
+         r"model: window must be non-negative"),
+        (lambda m: _set_split(m["base"], [0, 1, 2, 3, 4, 99], list(range(6, 12))),
+         r"model\.base\.split: human_idx and robot_idx must cover 0\.\.D-1"),
+        (lambda m: m["base"]["priors"].__setitem__(0, m["base"]["priors"][0] + 0.5),
+         r"model\.base: priors sum to 1\.[0-9]+, expected 1"),
+        (lambda m: m["transition"]["emissions"][0]["mean"].__setitem__(2, float("nan")),
+         r"model\.transition\.emissions\[0\]: mean and cov must be finite"),
+        (lambda m: m["base"]["emissions"].pop(),
+         r"model\.base: expected 3 emissions, got 2"),
+        (lambda m: _set_split(m["transition"], list(range(7)), list(range(7, 12))),
+         r"model: transition HMM split differs from the base split"),
+    ],
+    ids=["asymmetric-cov", "negative-window", "split-out-of-range", "priors-sum",
+         "nan-mean", "missing-emission", "transition-split"],
+)
+def test_predict_model_rejected_by_its_type_names_the_file_and_key(
+        workdir, data_csv, trained, edit, message):
+    path = _edited_model(workdir, trained, "rejected.json", lambda doc: edit(doc["model"]))
+    rc, _, err = run_cli("predict", "--model", str(path),
+                         "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
+    assert rc == 2
+    assert re.fullmatch(f"error: {re.escape(str(path))}: {message}\n", err), err
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -217,6 +217,13 @@ def test_sample_batch_rejects_oversized_batch():
         sample_batch(ds, 4, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_batch_rejects_an_empty_or_negative_batch(n):
+    ds, _ = synth_generate("handshake", n_demos=5, noise_sigma=0.0, seed=0)
+    with pytest.raises(ValueError, match=f"batch size must be at least 1, got {n}"):
+        sample_batch(ds, n, seed=0)
+
+
 # --- synthetic generator -----------------------------------------------------
 
 def test_synth_generate_is_bit_reproducible():

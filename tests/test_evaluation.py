@@ -199,7 +199,6 @@ def _toy_report(n_failed=2):
                 tsc_mse_std=1.349,
                 n_runs=100 - n_failed,
                 n_failed=n_failed,
-                seconds_per_run=0.5,
             ),
         )
     )

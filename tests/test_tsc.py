@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import _oracles
-from tschmm import hmm, tsc
+from tschmm import gaussian, hmm, tsc
 from tschmm.data import (
     SYNTH_KINDS,
     DimensionSplit,
@@ -393,10 +394,46 @@ def test_predict_runs_the_forward_kernel_once(trained_kind, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hmm, "_forward_backward", counted)
-    monkeypatch.setattr(tsc, "_forward_backward", counted)
+    # tsc reaches the kernel through hmm; patched too in case it imports it
+    monkeypatch.setattr(tsc, "_forward_backward", counted, raising=False)
     human = held_out[0]
     predict(model, human)
     assert calls == [(1, len(human), model.base.num_states)]
+
+
+def test_human_terms_match_the_twice_factored_reference(trained_kind):
+    model, held_out = trained_kind
+    for m in (model.base, model.transition):
+        h, r = m.split.human_idx, m.split.robot_idx
+        # a one-frame prefix takes the lone-point path of the solve
+        for human in [*held_out[:5], held_out[0][:1]]:
+            log_b, cond = hmm._human_marginal(m, human)
+            for i, g in enumerate(m.emissions):
+                want_b, want_cond = _oracles.factored_twice_human_terms(
+                    g.mean, g.cov, h, r, human
+                )
+                assert np.array_equal(log_b[:, i], want_b)
+                assert np.array_equal(log_b[:, i], log_density(human, marginalize(g, h)))
+                assert np.max(np.abs(cond[:, i] - want_cond)) < 1e-12
+
+
+def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
+    model, held_out = trained_kind
+    factored = []
+    for module, name in ((np.linalg, "cholesky"), (scipy.linalg, "cho_factor"),
+                         (gaussian, "cho_factor")):
+        original = getattr(module, name, None)
+
+        def counted(a, *args, _original=original, **kwargs):
+            factored.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        # gaussian has no cho_factor of its own to patch unless it imports one
+        monkeypatch.setattr(module, name, counted, raising=False)
+    predict(model, held_out[0])
+    human = len(model.base.split.human_idx)
+    states = model.base.num_states + model.transition.num_states
+    assert factored == [(human, human)] * states
 
 
 def test_predict_gate_and_blend_match_the_reference(trained_kind):
