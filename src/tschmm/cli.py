@@ -17,22 +17,10 @@ import numpy as np
 
 from . import tsc
 from .data import SYNTH_KINDS, build_features, load_csv, save_csv, synth_generate
-from .evaluation import (
-    ExperimentConfig,
-    mse,
-    render_csv,
-    render_table,
-    run_experiment,
-)
-from .hmm import (
-    HmmModel,
-    TrainingError,
-    baum_welch,
-    gmr_predict,
-    init_temporal_bins,
-)
+from .evaluation import ExperimentConfig, render_csv, render_table, run_experiment
+from .hmm import TrainingError, baum_welch, init_temporal_bins
 from .model_io import load_model, save_model
-from .tsc import TscModel, _joint_and_human_labels, detect_transition_states, dilate_mask
+from .tsc import TscModel, detect_transition_states
 
 __all__ = ["main"]
 
@@ -143,15 +131,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _base_of(model):
-    return model.base if isinstance(model, TscModel) else model
+def _model_and_data(args, window: int):
+    """The model file as a TscModel, the dataset and its features. An
+    hmm-kind file has no window: it becomes a TscModel without a transition
+    HMM that dilates by `window`."""
+    model = load_model(args.model)
+    if not isinstance(model, TscModel):
+        model = TscModel(model, None, window)
+    ds = load_csv(args.data)
+    return model, ds, [build_features(d) for d in ds.demos]
 
 
-def _check_dims(model, feats) -> str | None:
-    base = _base_of(model)
+def _check_dims(model: TscModel, feats) -> str | None:
     width = feats[0].width
-    if base.dim != width:
-        return f"model expects {base.dim} dims but the data has {width}"
+    if model.base.dim != width:
+        return f"model expects {model.base.dim} dims but the data has {width}"
     return None
 
 
@@ -174,14 +168,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    ds = load_csv(args.data)
-    feats = [build_features(d) for d in ds.demos]
+    # prediction never reads the window
+    model, ds, feats = _model_and_data(args, window=0)
     problem = _check_dims(model, feats)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 4
-    base = _base_of(model)
+    base = model.base
     human_idx = list(base.split.human_idx)
     n_pos = max(1, len(base.split.robot_idx) // 2)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -190,11 +183,7 @@ def cmd_predict(args) -> int:
                          "pred_x", "pred_y", "pred_z",
                          "true_x", "true_y", "true_z"])
         for demo_id, (demo, feat) in enumerate(zip(ds.demos, feats)):
-            human = feat.restrict(human_idx)
-            if isinstance(model, TscModel):
-                pred = tsc.predict(model, human)
-            else:
-                pred = gmr_predict(model, human)
+            pred = tsc.predict(model, feat.restrict(human_idx))
             rows = zip(pred.frames[:, :n_pos].tolist(), demo.robot_pos.tolist())
             for t, (pred_row, true_row) in enumerate(rows):
                 writer.writerow([demo_id, t, *map(repr, pred_row), *map(repr, true_row)])
@@ -203,24 +192,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    model = load_model(args.model)
-    ds = load_csv(args.data)
-    feats = [build_features(d) for d in ds.demos]
+    model, ds, feats = _model_and_data(args, args.window)
     problem = _check_dims(model, feats)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 4
-    base = _base_of(model)
-    window = model.window if isinstance(model, TscModel) else args.window
-    labels = _joint_and_human_labels(base, [f.frames for f in feats])
+    labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t", "label_joint", "label_human",
                          "mismatch", "windowed"])
-        for demo_id, (joint, human) in enumerate(zip(*labels)):
-            mismatch = joint != human
-            windowed = dilate_mask(mismatch, window)
-            columns = (joint, human, mismatch.astype(int), windowed.astype(int))
+        for demo_id, (joint, human, windowed) in enumerate(zip(*labels)):
+            columns = (joint, human, (joint != human).astype(int), windowed.astype(int))
             for t, row in enumerate(zip(*(c.tolist() for c in columns))):
                 writer.writerow([demo_id, t, *row])
     print(f"wrote segmentation for {len(ds.demos)} demos to {args.out}")

@@ -14,8 +14,10 @@ standing in for motion-capture recordings.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -170,72 +172,70 @@ def load_csv(path) -> Dataset:
     """Read a dataset from the demo_id,t,hx..rz,label CSV schema.
 
     Rows must be sorted by (demo_id, t) with t running 0,1,2,... per demo.
-    Errors carry the 1-based file line number.
+    Errors carry the 1-based file line number; the rows are read in one
+    pass, so of several faults the earliest is reported.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if header != CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields")
-            try:
-                demo_id = int(row[0])
-                t = int(row[1])
-                vals = [float(v) for v in row[2:8]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{path}: line {lineno}: non-finite coordinate")
-            rows.append((demo_id, t, vals, row[8], lineno))
-
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-    demos = []
-    by_id: dict[int, list] = {}
-    order: list[int] = []
-    last_key = None
-    for demo_id, t, vals, label, lineno in rows:
-        key = (demo_id, t)
-        if last_key is not None and key <= last_key:
-            raise ValueError(f"{path}: line {lineno}: rows not sorted by (demo_id, t)")
-        last_key = key
-        if demo_id not in by_id:
-            by_id[demo_id] = []
-            order.append(demo_id)
-        expected_t = len(by_id[demo_id])
-        if t != expected_t:
-            raise ValueError(
-                f"{path}: line {lineno}: demo {demo_id} expected t={expected_t}, got t={t}"
-            )
-        by_id[demo_id].append((vals, label))
-
-    for demo_id in order:
-        frames = by_id[demo_id]
-        if len(frames) < 2:
-            raise ValueError(f"{path}: demo {demo_id} has fewer than 2 frames")
-        coords = np.array([v for v, _ in frames])
-        demos.append(
-            Demonstration(
-                human_pos=coords[:, 0:3],
-                robot_pos=coords[:, 3:6],
-                label=frames[0][1],
-            )
-        )
-
-    from pathlib import Path
-
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        demos = _read_demos(reader, path)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return Dataset(tuple(demos), name=Path(path).stem)
+
+
+def _read_demos(reader, path) -> list[Demonstration]:
+    """load_csv's rows as demonstrations, each built when its last row is read."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if header != CSV_COLUMNS:
+        raise ValueError(
+            f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
+        )
+    demos = []
+    demo_id, coords, label = None, [], ""  # the demo being read
+
+    def close_demo():
+        if len(coords) < 2:
+            raise ValueError(f"{path}: demo {demo_id} has fewer than 2 frames")
+        pos = np.array(coords)
+        demos.append(Demonstration(human_pos=pos[:, 0:3], robot_pos=pos[:, 3:6], label=label))
+
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}: line {reader.line_num}: expected {len(CSV_COLUMNS)} fields")
+        try:
+            key = (int(row[0]), int(row[1]))
+            vals = [float(v) for v in row[2:8]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"{path}: line {reader.line_num}: non-finite coordinate")
+        if demo_id is not None and key <= (demo_id, len(coords) - 1):
+            raise ValueError(f"{path}: line {reader.line_num}: rows not sorted by (demo_id, t)")
+        if key[0] != demo_id:
+            if demo_id is not None:
+                close_demo()
+            demo_id, coords, label = key[0], [], row[8]
+        if key[1] != len(coords):
+            raise ValueError(
+                f"{path}: line {reader.line_num}: "
+                f"demo {demo_id} expected t={len(coords)}, got t={key[1]}"
+            )
+        coords.append(vals)
+    if demo_id is None:
+        raise ValueError(f"{path}: no data rows")
+    close_demo()
+    return demos
 
 
 def save_csv(ds: Dataset, path) -> None:

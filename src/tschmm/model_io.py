@@ -56,9 +56,10 @@ def _field(d, key: str, kind: type, where: str):
 
 def _array(d, key: str, where: str) -> np.ndarray:
     value = _field(d, key, list, where)
+    # an integer beyond the float range raises OverflowError
     try:
         return np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{where}.{key} must hold numbers, or lists of numbers of equal length"
         ) from None
@@ -126,7 +127,12 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        # decode and JSON errors name a line but not the file; nesting too
+        # deep for the decoder raises RecursionError
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model file")
     version = doc.get("format_version")
@@ -153,5 +159,5 @@ def load_model(path):
         if not fallback:
             transition = _hmm_from_dict(transition, f"{where}.transition")
         window = _field(payload, "window", int, where)
-        return _built(where, TscModel, base, transition, window, fallback)
+        return _built(where, TscModel, base, transition, window)
     raise ValueError(f"{path}: unknown model_kind {kind!r}")

@@ -5,7 +5,8 @@ disagrees with the most-likely state under the joint observations mark
 transitions between interaction phases. Those frames, widened by a window,
 train a second small HMM over the same feature space; at prediction time its
 states take over wherever they explain the human observation better than the
-base mixture does.
+base mixture does. With too few such frames there is no second HMM, and the
+model predicts exactly as its base HMM does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .hmm import (
     _human_frames,
     _human_marginal,
     baum_welch,
-    gmr_predict,
     init_temporal_bins,
     marginal_model,
 )
@@ -46,24 +46,19 @@ logger = logging.getLogger(__name__)
 class TscModel:
     """Base HMM plus the transition HMM trained on windowed mismatch frames.
 
-    fallback is set when too few transition samples existed to train the
-    second model; predictions then defer entirely to the base model.
+    transition is None when too few transition samples existed to train the
+    second model (a fallback model); predictions then equal the base
+    model's. window is the dilation that segmentation applies to mismatches.
     """
 
     base: HmmModel
     transition: HmmModel | None
     window: int
-    fallback: bool = False
 
     def __post_init__(self):
         if self.window < 0:
             raise ValueError("window must be non-negative")
-        if self.fallback:
-            if self.transition is not None:
-                raise ValueError("fallback model must not carry a transition HMM")
-        else:
-            if self.transition is None:
-                raise ValueError("non-fallback model requires a transition HMM")
+        if self.transition is not None:
             if self.transition.dim != self.base.dim:
                 raise ValueError(
                     f"transition HMM dimension {self.transition.dim} "
@@ -71,6 +66,11 @@ class TscModel:
                 )
             if self.transition.split != self.base.split:
                 raise ValueError("transition HMM split differs from the base split")
+
+    @property
+    def fallback(self) -> bool:
+        """True when there is no transition HMM."""
+        return self.transition is None
 
 
 def dilate_mask(mask, w: int) -> np.ndarray:
@@ -80,23 +80,27 @@ def dilate_mask(mask, w: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if w == 0 or mask.size == 0:
         return mask.copy()
+    # a window of T - 1 already reaches every frame from every frame
+    w = min(w, mask.size - 1)
     # the full convolution, cut to the input's span: "same" would return
     # 2w + 1 entries for a mask shorter than the kernel
     full = np.convolve(mask.astype(float), np.ones(2 * w + 1), mode="full")
     return full[w : w + mask.size] > 0.0
 
 
-def _joint_and_human_labels(
-    base: HmmModel, seqs: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-frame labels of each joint frame matrix under the joint model and
-    under its human-only marginal, each in one batched forward pass."""
+def _segmentation(
+    base: HmmModel, seqs: Sequence[np.ndarray], w: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per joint frame matrix: its labels under the joint model, its labels
+    under the human-only marginal (each labelling one batched forward pass),
+    and the frames where the two differ, dilated by w."""
     human_idx = list(base.split.human_idx)
     joint = _filtered_labels(base, seqs)
     human = _filtered_labels(
         marginal_model(base, human_idx), [f[:, human_idx] for f in seqs]
     )
-    return joint, human
+    masks = [dilate_mask(j != h, w) for j, h in zip(joint, human)]
+    return joint, human, masks
 
 
 def detect_transition_states(
@@ -112,8 +116,7 @@ def detect_transition_states(
     seqs = [_frames_of(d) for d in demos]
     if not seqs:
         return np.zeros((0, base.dim)), []
-    joint, human = _joint_and_human_labels(base, seqs)
-    masks = [dilate_mask(j != h, w) for j, h in zip(joint, human)]
+    _, _, masks = _segmentation(base, seqs, w)
     pooled = np.vstack([f[m] for f, m in zip(seqs, masks)])
     return pooled, masks
 
@@ -167,7 +170,7 @@ def _fit_detected(
             num_states,
             base.dim,
         )
-        return TscModel(base=base, transition=None, window=w, fallback=True)
+        return TscModel(base=base, transition=None, window=w)
 
     runs = [
         FeatureSequence(r, base.split)
@@ -181,7 +184,7 @@ def _fit_detected(
         init_runs = [FeatureSequence(samples, base.split)]
     init = init_temporal_bins(init_runs, num_states, eps)
     transition, _ = baum_welch(init, runs, max_iter, tol, eps)
-    return TscModel(base=base, transition=transition, window=w, fallback=False)
+    return TscModel(base=base, transition=transition, window=w)
 
 
 def predict(model: TscModel, human_obs) -> FeatureSequence:
@@ -191,23 +194,21 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     explains the human observation better than the forward-weighted base
     mixture does; it then weights the transition states' conditional means
     by their human densities alone. Every other frame, and every frame of a
-    fallback model, reproduces the base prediction (`gmr_predict`) exactly.
+    model without a transition HMM, reproduces the base prediction
+    (`gmr_predict`) exactly.
     """
     base = model.base
-    if model.fallback:
-        return gmr_predict(base, human_obs)
-
     # gmr_predict's rows, with the arrays the gate weighs them by
     frames = _human_frames(base, human_obs)
     out, h, log_b_base = _gmr(base, frames)
-    log_b_trans, trans_cond = _human_marginal(model.transition, frames)
-
-    with np.errstate(divide="ignore"):
-        log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
-    fire = log_b_trans.max(axis=1) > log_mix_base
-    if np.any(fire):
-        resp = _softmax_rows(log_b_trans[fire])
-        out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
+    if model.transition is not None:
+        log_b_trans, trans_cond = _human_marginal(model.transition, frames)
+        with np.errstate(divide="ignore"):
+            log_mix_base = _logsumexp_rows(np.log(h) + log_b_base)
+        fire = log_b_trans.max(axis=1) > log_mix_base
+        if np.any(fire):
+            resp = _softmax_rows(log_b_trans[fire])
+            out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
     return FeatureSequence(out, base.split.restrict(base.split.robot_idx))
 
 

@@ -436,3 +436,99 @@ def test_degenerate_training_exits_three(workdir):
                          "--reg", "0", "--out", str(workdir / "m.json"))
     assert rc == 3
     assert "training failed" in err
+
+
+def _raw_number(text: str, path, digits: str) -> str:
+    """Model JSON text with the value at `path` under "model" written as
+    the literal number `digits`."""
+    doc = json.loads(text)
+    node = doc["model"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "PLACEHOLDER"
+    return json.dumps(doc).replace('"PLACEHOLDER"', digits)
+
+
+def _oversize_field(text: str) -> bytes:
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + "x" * 140_000 + "\n"
+    return "".join(lines).encode()
+
+
+def _bad_byte_on_line_6(text: str) -> bytes:
+    lines = text.encode().splitlines(keepends=True)
+    lines[5] = b"\xff" + lines[5]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize(
+    "command, kind, mangle, message",
+    [
+        ("train", "data", _oversize_field,
+         r"line 4: field larger than field limit \(131072\)"),
+        ("train", "data", _bad_byte_on_line_6,
+         r"line 6: 'utf-8' codec can't decode byte 0xff .*"),
+        ("predict", "model", lambda text: _raw_number(text, ("base", "priors", 0), "9" * 400),
+         r"model\.base\.priors must hold numbers, or lists of numbers of equal length"),
+        ("predict", "model",
+         lambda text: _raw_number(text, ("transition", "emissions", 1, "mean", 4), "7" * 400),
+         r"model\.transition\.emissions\[1\]\.mean must hold numbers, "
+         r"or lists of numbers of equal length"),
+        ("predict", "model", lambda text: text[:400],
+         r"Expecting .*: line \d+ column \d+ \(char \d+\)"),
+        ("segment", "model", lambda text: b"\xff" + text.encode(),
+         r"'utf-8' codec can't decode byte 0xff in position 0: .*"),
+        ("predict", "model", lambda text: "[" * 100_000,
+         r"maximum recursion depth exceeded.*"),
+    ],
+    ids=["oversize-csv-field", "csv-not-utf8", "huge-int-prior", "huge-int-mean",
+         "truncated-model", "model-not-utf8", "deeply-nested-model"],
+)
+def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, command,
+                                                   kind, mangle, message):
+    source = data_csv if kind == "data" else trained[0]
+    bad = workdir / f"mangled{source.suffix}"
+    text = mangle(source.read_text(encoding="utf-8"))
+    if isinstance(text, str):
+        text = text.encode()
+    bad.write_bytes(text)
+    paths = {"data": data_csv, "model": trained[0], kind: bad}
+    argv = {"train": ["--data", paths["data"]],
+            "predict": ["--model", paths["model"], "--data", paths["data"]],
+            "segment": ["--model", paths["model"], "--data", paths["data"]]}[command]
+    rc, _, err = run_cli(command, *map(str, argv), "--out", str(workdir / "nope.out"))
+    assert rc == 2, err
+    assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err), err
+
+
+def test_segment_window_beyond_every_demo_marks_whole_demos(workdir, data_csv, trained):
+    path = _edited_model(workdir, trained, "wide.json",
+                         lambda doc: doc["model"].update(window=10**30))
+    out_path = workdir / "wide_seg.csv"
+    rc, _, err = run_cli("segment", "--model", str(path), "--data", str(data_csv),
+                         "--out", str(out_path))
+    assert rc == 0, err
+    body = np.array(read_rows(out_path)[1:], dtype=int)
+    for demo_id in np.unique(body[:, 0]):
+        rows = body[body[:, 0] == demo_id]
+        assert np.all(rows[:, 5] == int(rows[:, 4].any()))
+    assert body[:, 5].any()
+
+
+def test_segment_window_flag_applies_to_hmm_files_only(workdir, data_csv, trained):
+    model_path, _ = trained
+    base_path = workdir / "base_only.json"
+    save_model(load_model(model_path).base, base_path)
+    outs = {}
+    for name, path, window in [("tsc", model_path, None), ("tsc7", model_path, "7"),
+                               ("hmm3", base_path, "3")]:
+        outs[name] = workdir / f"seg_{name}.csv"
+        flags = [] if window is None else ["--window", window]
+        assert run_cli("segment", "--model", str(path), "--data", str(data_csv),
+                       "--out", str(outs[name]), *flags)[0] == 0
+    # a tsc file carries its window, so the flag changes nothing
+    assert outs["tsc"].read_bytes() == outs["tsc7"].read_bytes()
+    body = np.array(read_rows(outs["hmm3"])[1:], dtype=int)
+    for demo_id in np.unique(body[:, 0]):
+        rows = body[body[:, 0] == demo_id]
+        assert np.array_equal(rows[:, 5], tsc.dilate_mask(rows[:, 4], 3))

@@ -181,6 +181,25 @@ def test_load_csv_rejects_single_frame_demo(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_reports_the_earliest_of_two_faults(tmp_path):
+    # an unsorted row on line 4 precedes a non-numeric field on line 5
+    path = tmp_path / "bad.csv"
+    r = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, "x"]
+    _write_rows(path, [[0, 0, *r], [0, 1, *r], [0, 0, *r], [0, 3, "oops", *r[1:]]])
+    with pytest.raises(ValueError, match=r"bad\.csv: line 4: rows not sorted"):
+        load_csv(path)
+
+
+def test_load_csv_numbers_physical_lines_after_a_multiline_field(tmp_path):
+    # the first record's quoted label spans lines 2-3, so the t=3 fault is on line 5
+    path = tmp_path / "bad.csv"
+    r = ["0.0"] * 6
+    rows = [f"0,0,{','.join(r)},\"a\nb\"", f"0,1,{','.join(r)},x", f"0,3,{','.join(r)},x"]
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 5: demo 0 expected t=2, got t=3"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_empty_and_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

@@ -54,7 +54,7 @@ def test_tsc_round_trip_is_exact(tmp_path):
 
 
 def test_fallback_round_trip_keeps_null_transition(tmp_path):
-    model = TscModel(base=_hmm(seed=4), transition=None, window=2, fallback=True)
+    model = TscModel(base=_hmm(seed=4), transition=None, window=2)
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())

@@ -1,5 +1,7 @@
 """Tests for transition-state detection, the second-level HMM, and prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,12 +88,13 @@ def test_dilate_monotone_in_window():
 
 
 def test_dilate_matches_brute_force_on_short_masks():
-    # every mask of 1..10 frames, including those shorter than the 2w + 1 kernel
+    # every mask of 1..10 frames, including those shorter than the 2w + 1
+    # kernel, and windows far beyond any mask
     assert dilate_mask([1, 0, 0, 0], 2).tolist() == [True, True, True, False]
     for t in range(1, 11):
         for bits in range(2**t):
             mask = np.array([(bits >> i) & 1 for i in range(t)], dtype=bool)
-            for w in range(6):
+            for w in (*range(6), 9, 10**6, 10**30):
                 want = [mask[max(0, i - w) : i + w + 1].any() for i in range(t)]
                 assert dilate_mask(mask, w).tolist() == want
 
@@ -214,15 +217,21 @@ def test_transition_states_concentrate_near_phase_boundaries():
 
 # --- TscModel validation --------------------------------------------------------------
 
+def test_tsc_model_fallback_is_derived_from_the_transition_hmm():
+    base = _excursion_base()
+    assert [f.name for f in dataclasses.fields(TscModel)] == ["base", "transition", "window"]
+    assert TscModel(base=base, transition=None, window=2).fallback
+    model = TscModel(base=base, transition=_excursion_base(), window=2)
+    assert not model.fallback
+    with pytest.raises(AttributeError):
+        model.fallback = True
+
+
 def test_tsc_model_invariants():
     base = _excursion_base()
     trans = _excursion_base()
     with pytest.raises(ValueError, match="window"):
         TscModel(base=base, transition=trans, window=-1)
-    with pytest.raises(ValueError, match="fallback"):
-        TscModel(base=base, transition=trans, window=2, fallback=True)
-    with pytest.raises(ValueError, match="requires a transition"):
-        TscModel(base=base, transition=None, window=2, fallback=False)
     small = HmmModel(
         priors=np.array([1.0]),
         transitions=np.array([[1.0]]),
@@ -240,7 +249,7 @@ def test_tsc_model_invariants():
 
 def test_predict_fallback_equals_base_prediction_exactly():
     base = _excursion_base()
-    model = TscModel(base=base, transition=None, window=2, fallback=True)
+    model = TscModel(base=base, transition=None, window=2)
     rng = np.random.default_rng(1)
     for _ in range(3):
         human = rng.normal(size=(17, 1))
@@ -303,7 +312,7 @@ def test_predict_gate_follows_documented_firing_rule():
 
 def test_predict_output_split_covers_robot_dims_only():
     base = _excursion_base()
-    model = TscModel(base=base, transition=None, window=0, fallback=True)
+    model = TscModel(base=base, transition=None, window=0)
     out = predict(model, np.zeros((4, 1)))
     assert out.split.human_idx == ()
     assert out.split.robot_idx == (0,)
