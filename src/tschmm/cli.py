@@ -10,19 +10,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import tsc
+from . import data, tsc
 from .data import SYNTH_KINDS, build_features, load_csv, save_csv, synth_generate
 from .evaluation import ExperimentConfig, render_csv, render_table, run_experiment
-from .hmm import TrainingError, baum_welch, init_temporal_bins
+from .hmm import TrainingError, _check_split, baum_welch, init_temporal_bins
 from .model_io import load_model, save_model
 from .tsc import TscModel, detect_transition_states
 
 __all__ = ["main"]
+
+
+class _DimensionMismatch(ValueError):
+    """A model and its data disagree on the feature width (exit 4)."""
 
 
 def _positive_int(text: str) -> int:
@@ -46,19 +51,21 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _config_flag(p: argparse.ArgumentParser, flag: str, field: str, kind, text: str) -> None:
+    """A flag stored under, and defaulting to, the ExperimentConfig `field`;
+    usage still names its value after the flag."""
+    p.add_argument(flag, dest=field, type=kind, default=getattr(ExperimentConfig(), field),
+                   metavar=flag[2:].replace("-", "_").upper(),
+                   help=f"{text} (default %(default)s)")
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--states", type=_positive_int, default=4,
-                   help="base HMM states (default 4)")
-    p.add_argument("--tsc-states", type=_positive_int, default=3,
-                   help="transition HMM states (default 3)")
-    p.add_argument("--reg", type=_nonneg_float, default=1e-2,
-                   help="covariance regularization (default 1e-2)")
-    p.add_argument("--max-iter", type=_positive_int, default=40,
-                   help="EM iteration cap (default 40)")
-    p.add_argument("--tol", type=_nonneg_float, default=1e-4,
-                   help="EM convergence threshold (default 1e-4)")
-    p.add_argument("--window", type=_nonneg_int, default=2,
-                   help="frames marked on each side of a mismatch (default 2)")
+    _config_flag(p, "--states", "base_states", _positive_int, "base HMM states")
+    _config_flag(p, "--tsc-states", "tsc_states", _positive_int, "transition HMM states")
+    _config_flag(p, "--reg", "reg_eps", _nonneg_float, "covariance regularization")
+    _config_flag(p, "--max-iter", "max_iter", _positive_int, "EM iteration cap")
+    _config_flag(p, "--tol", "tol", _nonneg_float, "EM convergence threshold")
+    _config_flag(p, "--window", "window", _nonneg_int, "frames marked on each side of a mismatch")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,17 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="segmentation CSV path")
-    p.add_argument("--window", type=_nonneg_int, default=2,
-                   help="dilation window when the model file has none (default 2)")
+    _config_flag(p, "--window", "window", _nonneg_int,
+                 "dilation window when the model file has none")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="run the batched multi-seed experiment")
     p.add_argument("--data", required=True)
     _add_train_flags(p)
-    p.add_argument("--batch", type=_positive_int, default=15,
-                   help="training demos per seed (default 15)")
-    p.add_argument("--seeds", type=_positive_int, default=100,
-                   help="number of seeds (default 100)")
+    _config_flag(p, "--batch", "batch_size", _positive_int, "training demos per seed")
+    _config_flag(p, "--seeds", "n_seeds", _positive_int, "number of seeds")
     p.add_argument("--out", help="report CSV path (optional)")
     p.set_defaults(func=cmd_eval)
 
@@ -132,32 +137,34 @@ def cmd_synth(args) -> int:
 
 
 def _model_and_data(args, window: int):
-    """The model file as a TscModel, the dataset and its features. An
-    hmm-kind file has no window: it becomes a TscModel without a transition
-    HMM that dilates by `window`."""
+    """The model file as a TscModel, the dataset and its features, checked
+    to fit each other. An hmm-kind file has no window: it becomes a
+    TscModel without a transition HMM that dilates by `window`."""
     model = load_model(args.model)
     if not isinstance(model, TscModel):
         model = TscModel(model, None, window)
+    try:
+        _check_split(model.base)
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     ds = load_csv(args.data)
-    return model, ds, [build_features(d) for d in ds.demos]
-
-
-def _check_dims(model: TscModel, feats) -> str | None:
-    width = feats[0].width
-    if model.base.dim != width:
-        return f"model expects {model.base.dim} dims but the data has {width}"
-    return None
+    feats = [build_features(d) for d in ds.demos]
+    if model.base.dim != feats[0].width:
+        raise _DimensionMismatch(
+            f"model expects {model.base.dim} dims but the data has {feats[0].width}"
+        )
+    return model, ds, feats
 
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data)
     feats = [build_features(d) for d in ds.demos]
-    init = init_temporal_bins(feats, args.states, args.reg)
-    base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg)
+    init = init_temporal_bins(feats, args.base_states, args.reg_eps)
+    base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg_eps)
     seqs = [f.frames for f in feats]
     samples, masks = detect_transition_states(base, seqs, args.window)
     model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
-                              args.window, args.reg, args.max_iter, args.tol)
+                              args.window, args.reg_eps, args.max_iter, args.tol)
     save_model(model, args.out)
     print(f"log-likelihood: {history[-1]!r} after {len(history) - 1} iterations")
     print(f"transition samples: {len(samples)}")
@@ -170,13 +177,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     # prediction never reads the window
     model, ds, feats = _model_and_data(args, window=0)
-    problem = _check_dims(model, feats)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 4
-    base = model.base
-    human_idx = list(base.split.human_idx)
-    n_pos = max(1, len(base.split.robot_idx) // 2)
+    human_idx = list(model.base.split.human_idx)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t",
@@ -184,7 +185,8 @@ def cmd_predict(args) -> int:
                          "true_x", "true_y", "true_z"])
         for demo_id, (demo, feat) in enumerate(zip(ds.demos, feats)):
             pred = tsc.predict(model, feat.restrict(human_idx))
-            rows = zip(pred.frames[:, :n_pos].tolist(), demo.robot_pos.tolist())
+            positions = pred.frames[:, data._position_dims(pred.split.robot_idx)]
+            rows = zip(positions.tolist(), demo.robot_pos.tolist())
             for t, (pred_row, true_row) in enumerate(rows):
                 writer.writerow([demo_id, t, *map(repr, pred_row), *map(repr, true_row)])
     print(f"wrote predictions for {len(ds.demos)} demos to {args.out}")
@@ -193,10 +195,6 @@ def cmd_predict(args) -> int:
 
 def cmd_segment(args) -> int:
     model, ds, feats = _model_and_data(args, args.window)
-    problem = _check_dims(model, feats)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 4
     labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -213,14 +211,7 @@ def cmd_segment(args) -> int:
 def cmd_eval(args) -> int:
     ds = load_csv(args.data)
     cfg = ExperimentConfig(
-        base_states=args.states,
-        tsc_states=args.tsc_states,
-        reg_eps=args.reg,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        batch_size=args.batch,
-        n_seeds=args.seeds,
-        window=args.window,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     )
     report = run_experiment(ds, cfg)
     print(render_table(report), end="")
@@ -239,10 +230,10 @@ def main(argv=None) -> int:
     except (TrainingError, np.linalg.LinAlgError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except _DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return 4
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - last-resort contract

@@ -266,6 +266,11 @@ def build_features(demo: Demonstration) -> FeatureSequence:
     return FeatureSequence(frames, standard_split())
 
 
+def _position_dims(robot_idx: Sequence[int]) -> list[int]:
+    """The position dims among `robot_idx`: they precede their differences."""
+    return list(robot_idx[: max(1, len(robot_idx) // 2)])
+
+
 def sample_batch(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random split into n training demos and the remainder."""
     if n < 1:
@@ -301,10 +306,6 @@ def _arrive(u: np.ndarray) -> np.ndarray:
 def _depart(u: np.ndarray) -> np.ndarray:
     """Leave at full speed (push-off from contact), settle to rest."""
     return np.sin(0.5 * np.pi * u)
-
-
-def _linear(u: np.ndarray) -> np.ndarray:
-    return u
 
 
 def _segment(p0: np.ndarray, p1: np.ndarray, n: int, profile=_minjerk) -> np.ndarray:

@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import tsc
-from .data import Dataset, FeatureSequence, build_features, sample_batch
+from .data import Dataset, FeatureSequence, _position_dims, build_features, sample_batch
 from .hmm import TrainingError, baum_welch, gmr_predict, init_temporal_bins
 
 __all__ = [
@@ -70,11 +70,7 @@ class ExperimentReport:
 
 
 def mse(pred: FeatureSequence, truth: FeatureSequence) -> float:
-    """Mean squared error over robot position dims, in centimeters.
-
-    Position dims are the first half of the robot indices (positions precede
-    the per-frame differences in the feature layout).
-    """
+    """Mean squared error over robot position dims, in centimeters."""
     if pred.frames.shape != truth.frames.shape:
         raise ValueError(
             f"shape mismatch: {pred.frames.shape} vs {truth.frames.shape}"
@@ -84,7 +80,7 @@ def mse(pred: FeatureSequence, truth: FeatureSequence) -> float:
     robot_idx = pred.split.robot_idx
     if not robot_idx:
         raise ValueError("no robot dimensions to score")
-    score_dims = list(robot_idx[: max(1, len(robot_idx) // 2)])
+    score_dims = _position_dims(robot_idx)
     diff = 100.0 * (pred.frames[:, score_dims] - truth.frames[:, score_dims])
     return float(np.mean(diff * diff))
 

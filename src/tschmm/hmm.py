@@ -28,9 +28,10 @@ import numpy as np
 from .data import DimensionSplit, FeatureSequence
 from .gaussian import (
     GaussianState,
+    _check_index_list,
+    _cholesky,
     _conditional_affine,
     _log_density,
-    log_density,
     marginalize,
     regularize,
 )
@@ -142,8 +143,13 @@ def _frames_of(obs) -> np.ndarray:
     return frames
 
 
-def _log_emissions(emissions: Sequence[GaussianState], frames: np.ndarray) -> np.ndarray:
-    return np.column_stack([log_density(frames, g) for g in emissions])
+def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """(T, S) log densities of the frames under each state's marginal on
+    `dims`, read off the model with one Cholesky factor per state."""
+    return np.column_stack([
+        _log_density(frames, g.mean[dims], _cholesky(g.cov[np.ix_(dims, dims)], "the covariance"))
+        for g in model.emissions
+    ])
 
 
 def _pad(pooled: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -247,28 +253,14 @@ def _forward_backward(
     )
 
 
-def _filtered_labels(model: HmmModel, seqs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-frame argmax of the forward variables of each (T, D) matrix,
-    all sequences in one batched pass; ties go to the lowest state."""
+def _filtered_labels(model: HmmModel, seqs: Sequence, dims: Sequence[int]) -> list[np.ndarray]:
+    """Per-frame argmax of the forward variables of each (T, len(dims))
+    matrix under the model's marginal on `dims`, all sequences in one
+    batched pass; ties go to the lowest state."""
     lengths = np.array([len(f) for f in seqs])
-    log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+    log_b = _pad(_log_emissions(model, np.vstack(seqs), dims), lengths)
     a_hat = _forward_backward(model.priors, model.transitions, log_b, lengths).a_hat
     return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
-
-
-def _restricted(
-    model: HmmModel, obs, dims: Sequence[int] | None
-) -> tuple[HmmModel, np.ndarray]:
-    """The model marginalized to `dims` (itself when dims is None or all of
-    its dims) and the frames of `obs`, checked to have one column per dim."""
-    frames = _frames_of(obs)
-    dims = list(range(model.dim)) if dims is None else [int(d) for d in dims]
-    if frames.shape[1] != len(dims):
-        raise ValueError(
-            f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
-        )
-    sub = model if dims == list(range(model.dim)) else marginal_model(model, dims)
-    return sub, frames
 
 
 def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardResult:
@@ -278,10 +270,15 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
     the transition-weighted sum. `obs` must have one column per entry of
     `dims` (all model dimensions when dims is None).
     """
-    sub, frames = _restricted(model, obs, dims)
-    log_b = _log_emissions(sub.emissions, frames)
+    frames = _frames_of(obs)
+    dims = list(range(model.dim)) if dims is None else [int(d) for d in dims]
+    if frames.shape[1] != len(dims):
+        raise ValueError(
+            f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
+        )
+    log_b = _log_emissions(model, frames, _check_index_list(dims, model.dim))
     passes = _forward_backward(
-        sub.priors, sub.transitions, log_b[None], np.array([len(frames)])
+        model.priors, model.transitions, log_b[None], np.array([len(frames)])
     )
     a_hat = passes.a_hat[0]
     log_cum = np.cumsum(passes.log_c[0])
@@ -358,7 +355,7 @@ def _e_step(model: HmmModel, pooled: np.ndarray, lengths: np.ndarray) -> tuple[_
     """Posterior statistics of sequences stored back to back in `pooled`."""
     trans = model.transitions
     # one Cholesky per state for the whole batch
-    log_b = _pad(_log_emissions(model.emissions, pooled), lengths)
+    log_b = _pad(_log_emissions(model, pooled, np.arange(model.dim)), lengths)
     a_hat, log_c, b_hat, beta_hat = _forward_backward(
         model.priors, trans, log_b, lengths, backward=True
     )
@@ -482,12 +479,17 @@ def baum_welch(
     return current, history
 
 
+def _check_split(model: HmmModel) -> None:
+    """Regression and segmentation need human and robot dims."""
+    if not model.split.human_idx or not model.split.robot_idx:
+        raise ValueError("model split must include human and robot dimensions")
+
+
 def _human_frames(model: HmmModel, human_obs) -> np.ndarray:
     """The (T, D_human) frames that regression conditions on, checked
     against the model's split."""
+    _check_split(model)
     human_idx = model.split.human_idx
-    if not human_idx or not model.split.robot_idx:
-        raise ValueError("model split must include human and robot dimensions")
     frames = _frames_of(human_obs)
     if frames.shape[1] != len(human_idx):
         raise ValueError(
@@ -550,5 +552,4 @@ def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> n
     filtered estimate), so consecutive labels need not form a likely, or
     even a possible, state path.
     """
-    sub, frames = _restricted(model, obs, dims)
-    return _filtered_labels(sub, [frames])[0]
+    return np.argmax(forward(model, obs, dims).h, axis=1)

@@ -12,6 +12,7 @@ model predicts exactly as its base HMM does.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .data import FeatureSequence
 from .hmm import (
     HmmModel,
     TrainingError,
+    _check_split,
     _filtered_labels,
     _frames_of,
     _gmr,
@@ -28,7 +30,6 @@ from .hmm import (
     _human_marginal,
     baum_welch,
     init_temporal_bins,
-    marginal_model,
 )
 
 __all__ = [
@@ -56,8 +57,7 @@ class TscModel:
     window: int
 
     def __post_init__(self):
-        if self.window < 0:
-            raise ValueError("window must be non-negative")
+        object.__setattr__(self, "window", _window(self.window))
         if self.transition is not None:
             if self.transition.dim != self.base.dim:
                 raise ValueError(
@@ -73,10 +73,16 @@ class TscModel:
         return self.transition is None
 
 
+def _window(w) -> int:
+    """w as an int, if it is a non-negative integer of any type but bool."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 0:
+        raise ValueError("window must be a non-negative integer")
+    return int(w)
+
+
 def dilate_mask(mask, w: int) -> np.ndarray:
     """Widen every true entry by w frames on each side, clipped to bounds."""
-    if w < 0:
-        raise ValueError("window must be non-negative")
+    w = _window(w)
     mask = np.asarray(mask, dtype=bool)
     if w == 0 or mask.size == 0:
         return mask.copy()
@@ -94,11 +100,10 @@ def _segmentation(
     """Per joint frame matrix: its labels under the joint model, its labels
     under the human-only marginal (each labelling one batched forward pass),
     and the frames where the two differ, dilated by w."""
+    _check_split(base)
     human_idx = list(base.split.human_idx)
-    joint = _filtered_labels(base, seqs)
-    human = _filtered_labels(
-        marginal_model(base, human_idx), [f[:, human_idx] for f in seqs]
-    )
+    joint = _filtered_labels(base, seqs, np.arange(base.dim))
+    human = _filtered_labels(base, [f[:, human_idx] for f in seqs], human_idx)
     masks = [dilate_mask(j != h, w) for j, h in zip(joint, human)]
     return joint, human, masks
 

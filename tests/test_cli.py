@@ -6,6 +6,7 @@ redirection so the tests do not depend on pytest's capture mode.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -13,10 +14,10 @@ import re
 import numpy as np
 import pytest
 
-from tschmm import tsc
+from tschmm import cli, tsc
 from tschmm.cli import main
 from tschmm.data import Dataset, Demonstration, build_features, load_csv, save_csv
-from tschmm.evaluation import REPORT_COLUMNS, mse
+from tschmm.evaluation import REPORT_COLUMNS, ExperimentConfig, mse
 from tschmm.hmm import HmmModel, init_temporal_bins, viterbi_labels
 from tschmm.model_io import load_model, save_model
 from tschmm.tsc import TscModel
@@ -58,6 +59,18 @@ def trained(workdir, data_csv):
                          "--out", str(path))
     assert rc == 0
     return path, out
+
+
+def test_flag_defaults_are_the_experiment_config_defaults():
+    parser = cli._build_parser()
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    args = parser.parse_args(["eval", "--data", "d.csv"])
+    assert ExperimentConfig(**{name: getattr(args, name) for name in fields}) == ExperimentConfig()
+    args = parser.parse_args(["train", "--data", "d.csv", "--out", "m.json"])
+    for name in ("base_states", "tsc_states", "reg_eps", "max_iter", "tol", "window"):
+        assert getattr(args, name) == getattr(ExperimentConfig(), name)
+    args = parser.parse_args(["segment", "--model", "m", "--data", "d", "--out", "o"])
+    assert args.window == ExperimentConfig().window
 
 
 def test_synth_writes_dataset_and_boundary_sidecar(data_csv):
@@ -167,11 +180,12 @@ def test_predict_rejects_mismatched_dimensions(workdir, data_csv):
     )
     model_path = workdir / "tiny.json"
     save_model(tiny, model_path)
-    rc, _, err = run_cli("predict", "--model", str(model_path),
-                         "--data", str(data_csv),
-                         "--out", str(workdir / "nope.csv"))
-    assert rc == 4
-    assert "model expects 2 dims but the data has 12" in err
+    for command in ("predict", "segment"):
+        rc, _, err = run_cli(command, "--model", str(model_path),
+                             "--data", str(data_csv),
+                             "--out", str(workdir / "nope.csv"))
+        assert rc == 4
+        assert err == "error: model expects 2 dims but the data has 12\n"
 
 
 def test_segment_flags_are_internally_consistent(workdir, data_csv, trained):
@@ -356,7 +370,7 @@ def _set_split(hmm_doc, human_idx, robot_idx):
         (lambda m: m["base"]["emissions"][1]["cov"][0].__setitem__(1, 1.0),
          r"model\.base\.emissions\[1\]: cov must be symmetric to within 1e-12"),
         (lambda m: m.update(window=-1),
-         r"model: window must be non-negative"),
+         r"model: window must be a non-negative integer"),
         (lambda m: _set_split(m["base"], [0, 1, 2, 3, 4, 99], list(range(6, 12))),
          r"model\.base\.split: human_idx and robot_idx must cover 0\.\.D-1"),
         (lambda m: m["base"]["priors"].__setitem__(0, m["base"]["priors"][0] + 0.5),
@@ -455,6 +469,18 @@ def _oversize_field(text: str) -> bytes:
     return "".join(lines).encode()
 
 
+def _one_sided_split(text: str, side: str) -> str:
+    """Model JSON text whose HMMs put every dim on `side` of the split."""
+    doc = json.loads(text)
+    for key in ("base", "transition"):
+        if doc["model"][key] is not None:
+            split = doc["model"][key]["split"]
+            dims = sorted(split["human_idx"] + split["robot_idx"])
+            split.update(human_idx=[], robot_idx=[])
+            split[side] = dims
+    return json.dumps(doc)
+
+
 def _bad_byte_on_line_6(text: str) -> bytes:
     lines = text.encode().splitlines(keepends=True)
     lines[5] = b"\xff" + lines[5]
@@ -480,9 +506,14 @@ def _bad_byte_on_line_6(text: str) -> bytes:
          r"'utf-8' codec can't decode byte 0xff in position 0: .*"),
         ("predict", "model", lambda text: "[" * 100_000,
          r"maximum recursion depth exceeded.*"),
+        *[(command, "model", lambda text, side=side: _one_sided_split(text, side),
+           r"model split must include human and robot dimensions")
+          for command in ("predict", "segment") for side in ("robot_idx", "human_idx")],
     ],
     ids=["oversize-csv-field", "csv-not-utf8", "huge-int-prior", "huge-int-mean",
-         "truncated-model", "model-not-utf8", "deeply-nested-model"],
+         "truncated-model", "model-not-utf8", "deeply-nested-model",
+         "predict-no-human-dims", "predict-no-robot-dims",
+         "segment-no-human-dims", "segment-no-robot-dims"],
 )
 def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, command,
                                                    kind, mangle, message):

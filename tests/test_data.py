@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tschmm import data
 from tschmm.data import (
     CSV_COLUMNS,
     Dataset,
@@ -26,6 +27,12 @@ def _tiny_demo():
 
 
 # --- DimensionSplit ----------------------------------------------------------
+
+def test_position_dims_are_the_first_half_of_the_robot_dims():
+    assert data._position_dims(standard_split().robot_idx) == [6, 7, 8]
+    assert data._position_dims((0, 1, 2, 3, 4)) == [0, 1]
+    assert data._position_dims((4,)) == [4]
+
 
 def test_split_validates_partition():
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -450,7 +450,7 @@ def test_kernel_forward_backward_matches_per_sequence_reference():
     for seed in range(5):
         model, seqs = _ragged_batch(seed)
         lengths = np.array(RAGGED_LENGTHS)
-        log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+        log_b = _pad(_log_emissions(model, np.vstack(seqs), np.arange(model.dim)), lengths)
         got = _forward_backward(model.priors, model.transitions, log_b, lengths, backward=True)
         for k, frames in enumerate(seqs):
             n = len(frames)
@@ -471,7 +471,7 @@ def test_kernel_e_step_matches_per_sequence_reference():
         model, seqs = _ragged_batch(seed, num_states=4, dim=3)
         lengths = np.array(RAGGED_LENGTHS)
         stats, ll = _e_step(model, np.vstack(seqs), lengths)
-        log_bs = [_log_emissions(model.emissions, f) for f in seqs]
+        log_bs = [_log_emissions(model, f, np.arange(model.dim)) for f in seqs]
         pi_acc, trans_acc, resp, mean_acc, gammas, want_ll = _oracles.e_step(
             model.priors, model.transitions, log_bs, seqs
         )
@@ -492,7 +492,7 @@ def test_forward_single_sequence_is_bit_identical_to_reference():
         obs = rng.normal(0.0, 2.0, size=(n, d))
         res = forward(model, obs)
         a_hat, log_c, _ = _oracles.scaled_forward(
-            model.priors, model.transitions, _log_emissions(model.emissions, obs)
+            model.priors, model.transitions, _log_emissions(model, obs, np.arange(model.dim))
         )
         log_cum = np.cumsum(log_c)
         with np.errstate(divide="ignore"):
@@ -505,7 +505,7 @@ def test_forward_single_sequence_is_bit_identical_to_reference():
 def test_kernel_names_the_first_bad_frame_of_a_batch():
     model, seqs = _ragged_batch(0)
     lengths = np.array(RAGGED_LENGTHS)
-    log_b = _pad(_log_emissions(model.emissions, np.vstack(seqs)), lengths)
+    log_b = _pad(_log_emissions(model, np.vstack(seqs), np.arange(model.dim)), lengths)
     # every state at zero likelihood on frame 1 of sequence 3
     vanished = log_b.copy()
     vanished[3, 1] = -np.inf

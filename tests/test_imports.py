@@ -1,8 +1,10 @@
-"""Every name a tschmm module imports is used in that module.
+"""Every name a tschmm module imports is used in that module, and every
+top-level private name a module defines is used somewhere in the package.
 
-No linter ships with the project, so this test stands in for the unused-
-import check. Package `__init__.py` files re-export what they import and
-`from __future__` imports change the compiler, so both are exempt.
+No linter ships with the project, so these tests stand in for the unused-
+import and dead-code checks. Package `__init__.py` files re-export what they
+import and `from __future__` imports change the compiler, so both are
+exempt from the import check.
 """
 
 import ast
@@ -12,9 +14,8 @@ import pytest
 
 import tschmm
 
-MODULES = sorted(
-    p for p in Path(tschmm.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(tschmm.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -40,3 +41,61 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport a.b\nfrom c import d as e\na.b\n"
     assert _unused_imports(source) == ["line 2: os", "line 4: e"]
+
+
+def _private_definitions(tree: ast.Module):
+    """The module's top-level `_private` functions, classes and constants,
+    each with the node that defines it; dunder names are exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST, skip: ast.AST):
+    """Names read, attributes taken and names imported under `node`,
+    leaving out the subtree `skip`."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each top-level private name that nothing in the
+    sources refers to outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(name in _references(other, node) for other in trees.values()):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_package_uses_every_private_name_it_defines():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _dead_private_names(sources) == []
+
+
+def test_the_check_finds_a_dead_private_name():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n\n"
+                "_K = 1\n_TABLE: dict = {}\n__all__ = []\n\nclass _Box:\n    pass\n",
+        "b.py": "from a import _used\nimport a\n\nx = a._TABLE\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _recursive", "a.py: _K", "a.py: _Box"]

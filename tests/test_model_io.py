@@ -53,6 +53,14 @@ def test_tsc_round_trip_is_exact(tmp_path):
     _assert_same_hmm(loaded.transition, model.transition)
 
 
+def test_window_of_any_integer_type_round_trips_as_int(tmp_path):
+    model = TscModel(base=_hmm(seed=7), transition=None, window=np.int64(3))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert type(loaded.window) is int and loaded.window == 3
+
+
 def test_fallback_round_trip_keeps_null_transition(tmp_path):
     model = TscModel(base=_hmm(seed=4), transition=None, window=2)
     path = tmp_path / "model.json"

@@ -23,6 +23,7 @@ from tschmm.hmm import (
     forward,
     gmr_predict,
     init_temporal_bins,
+    marginal_model,
     viterbi_labels,
 )
 from tschmm.tsc import TscModel, detect_transition_states, dilate_mask, fit, predict
@@ -102,6 +103,19 @@ def test_dilate_matches_brute_force_on_short_masks():
 def test_dilate_rejects_negative_window():
     with pytest.raises(ValueError, match="non-negative"):
         dilate_mask(np.zeros(3, dtype=bool), -1)
+
+
+def test_window_must_be_a_non_negative_integer():
+    base = _excursion_base()
+    model = TscModel(base=base, transition=None, window=np.int64(3))
+    assert type(model.window) is int and model.window == 3
+    assert dilate_mask([False, True, False, False], np.int64(1)).tolist() == [
+        True, True, True, False]
+    for w in (-1, True, 2.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match="^window must be a non-negative integer$"):
+            TscModel(base=base, transition=None, window=w)
+        with pytest.raises(ValueError, match="^window must be a non-negative integer$"):
+            dilate_mask(np.zeros(3, dtype=bool), w)
 
 
 # --- detect_transition_states ----------------------------------------------------
@@ -335,6 +349,17 @@ def test_fit_reads_an_iterable_of_demos_once():
     assert all(np.array_equal(a, b) for a, b in zip(masks, want_masks))
 
 
+def test_detect_requires_human_and_robot_dims():
+    base = _excursion_base()
+    demo = _excursion_demo().frames
+    for split in (DimensionSplit((), (0, 1)), DimensionSplit((0, 1), ())):
+        one_sided = HmmModel(base.priors, base.transitions, base.emissions, split)
+        with pytest.raises(
+            ValueError, match="^model split must include human and robot dimensions$"
+        ):
+            detect_transition_states(one_sided, [demo], 2)
+
+
 def test_detect_matches_per_demo_labelling_on_a_corpus():
     ds, _ = synth_generate("rocket_fistbump", n_demos=8, noise_sigma=0.01, seed=2)
     feats = [build_features(d) for d in ds.demos]
@@ -473,6 +498,62 @@ def test_viterbi_labels_are_the_forward_argmax(criterion6_split):
             labels = viterbi_labels(base, frames, dims)
             assert labels.shape == (len(frames),)
             assert np.array_equal(labels, np.argmax(forward(base, frames, dims).h, axis=1))
+
+
+def _marginal_model_labels(base, seqs, dims):
+    """Filtered labels by the route that built the marginal on `dims` as a
+    sub-model and scored it through the public log density."""
+    sub = marginal_model(base, dims)
+    lengths = np.array([len(f) for f in seqs])
+    log_b = np.column_stack([log_density(np.vstack(seqs), g) for g in sub.emissions])
+    a_hat = hmm._forward_backward(
+        sub.priors, sub.transitions, hmm._pad(log_b, lengths), lengths
+    ).a_hat
+    return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
+
+
+def test_human_labels_match_the_marginal_model_route(criterion6_split):
+    base, feats, held_out = criterion6_split
+    human_idx = list(base.split.human_idx)
+    _, human, _ = tsc._segmentation(base, [f.frames for f in feats], 2)
+    want = _marginal_model_labels(base, [f.frames[:, human_idx] for f in feats], human_idx)
+    assert all(np.array_equal(got, w) for got, w in zip(human, want, strict=True))
+    seqs = [f.frames[:, human_idx] for f in held_out]
+    want = _marginal_model_labels(base, seqs, human_idx)
+    got = hmm._filtered_labels(base, seqs, human_idx)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    sub = marginal_model(base, human_idx)
+    for frames in seqs:
+        assert np.array_equal(forward(base, frames, human_idx).h, forward(sub, frames).h)
+        assert np.array_equal(viterbi_labels(base, frames, human_idx),
+                              viterbi_labels(sub, frames))
+
+
+def test_labelling_on_a_dims_subset_builds_no_sub_model(criterion6_split, monkeypatch):
+    base, feats, held_out = criterion6_split
+    built = []
+    for module in (gaussian, hmm):
+        original = module.marginalize
+
+        def counted(*args, _original=original):
+            built.append("marginalize")
+            return _original(*args)
+
+        monkeypatch.setattr(module, "marginalize", counted)
+    for cls in (HmmModel, GaussianState):
+        original = cls.__post_init__
+
+        def counted(self, _original=original, _name=cls.__name__):
+            built.append(_name)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    human_idx = list(base.split.human_idx)
+    detect_transition_states(base, feats, 2)
+    frames = held_out[0].frames[:, human_idx]
+    forward(base, frames, human_idx)
+    viterbi_labels(base, frames, human_idx)
+    assert built == []
 
 
 def test_predict_rejects_what_gmr_predict_rejects():
