@@ -19,7 +19,7 @@ import numpy as np
 from . import data, tsc
 from .data import SYNTH_KINDS, build_features, load_csv, save_csv, synth_generate
 from .evaluation import ExperimentConfig, render_csv, render_table, run_experiment
-from .hmm import TrainingError, _check_split, baum_welch, init_temporal_bins
+from .hmm import TrainingError, _check_split, _human_frames, baum_welch, init_temporal_bins
 from .model_io import load_model, save_model
 from .tsc import TscModel, detect_transition_states
 
@@ -178,14 +178,16 @@ def cmd_predict(args) -> int:
     # prediction never reads the window
     model, ds, feats = _model_and_data(args, window=0)
     human_idx = list(model.base.split.human_idx)
+    lengths = np.array([len(f) for f in feats])
+    frames = _human_frames(model.base, np.vstack([f.frames for f in feats])[:, human_idx])
+    preds = np.split(tsc._predict(model, frames, lengths), np.cumsum(lengths)[:-1])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t",
                          "pred_x", "pred_y", "pred_z",
                          "true_x", "true_y", "true_z"])
-        for demo_id, (demo, feat) in enumerate(zip(ds.demos, feats)):
-            pred = tsc.predict(model, feat.restrict(human_idx))
-            positions = pred.frames[:, data._position_dims(pred.split.robot_idx)]
+        for demo_id, (demo, pred) in enumerate(zip(ds.demos, preds)):
+            positions = pred[:, data._position_dims(range(pred.shape[1]))]
             rows = zip(positions.tolist(), demo.robot_pos.tolist())
             for t, (pred_row, true_row) in enumerate(rows):
                 writer.writerow([demo_id, t, *map(repr, pred_row), *map(repr, true_row)])

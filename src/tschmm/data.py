@@ -83,7 +83,6 @@ class Demonstration:
 
     human_pos: np.ndarray
     robot_pos: np.ndarray
-    rate_hz: float = 40.0
     label: str = ""
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class Demonstration:
             raise ValueError("a demonstration needs at least 2 frames")
         if not (np.all(np.isfinite(human)) and np.all(np.isfinite(robot))):
             raise ValueError("positions must be finite")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
         human.setflags(write=False)
         robot.setflags(write=False)
         object.__setattr__(self, "human_pos", human)
@@ -133,14 +130,6 @@ class FeatureSequence:
     def width(self) -> int:
         return self.frames.shape[1]
 
-    @property
-    def human(self) -> np.ndarray:
-        return self.frames[:, list(self.split.human_idx)]
-
-    @property
-    def robot(self) -> np.ndarray:
-        return self.frames[:, list(self.split.robot_idx)]
-
     def restrict(self, dims: Sequence[int]) -> "FeatureSequence":
         """Sub-sequence over the selected dimensions, split remapped."""
         dims = list(dims)
@@ -149,7 +138,7 @@ class FeatureSequence:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A named collection of demonstrations with a consistent frame rate.
+    """A named collection of demonstrations.
 
     May be empty only as the leftover side of a train/test split.
     """
@@ -158,11 +147,7 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        demos = tuple(self.demos)
-        rates = {d.rate_hz for d in demos}
-        if len(rates) > 1:
-            raise ValueError(f"inconsistent frame rates in dataset: {sorted(rates)}")
-        object.__setattr__(self, "demos", demos)
+        object.__setattr__(self, "demos", tuple(self.demos))
 
     def __len__(self) -> int:
         return len(self.demos)

@@ -9,7 +9,8 @@ squared-error numbers live on a centimeter scale.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -46,11 +47,12 @@ class ExperimentConfig:
     window: int = 2
 
     def __post_init__(self):
-        for name in ("base_states", "tsc_states", "max_iter", "batch_size", "n_seeds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.reg_eps < 0 or self.tol < 0 or self.window < 0:
-            raise ValueError("reg_eps, tol and window must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Real if f.type == "float" else numbers.Integral
+            least = 0 if f.name in ("reg_eps", "tol", "window") else 1
+            if isinstance(value, bool) or not isinstance(value, kind) or value < least:
+                raise ValueError(f"{f.name} must be {f.type} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ space so that products over long observation sequences do not underflow.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,9 +107,11 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
 
 
 def _check_index_list(idx: Sequence[int], dim: int, name: str = "idx") -> np.ndarray:
-    idx = np.asarray(idx, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
+    if np.ndim(idx) != 1 or np.size(idx) == 0:
         raise ValueError(f"{name} must be a non-empty index list")
+    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in idx):
+        raise ValueError(f"{name} must hold integers, got {list(idx)!r}")
+    idx = np.asarray(idx, dtype=int)
     if np.any(idx < 0) or np.any(idx >= dim):
         raise ValueError(f"{name} contains out-of-range entries for dimension {dim}")
     if np.any(np.diff(idx) <= 0):

@@ -7,10 +7,10 @@ over a dimension subset, per-frame most-likely-state labels, and conditional
 prediction of the unobserved dimensions by Gaussian mixture regression.
 
 One kernel runs every forward and backward recursion: the E-step, the
-per-frame labels and prediction all pad their sequences into an (N, T, S)
-batch of emission densities and step through time once for the whole
-batch, each sequence stopping at its own length. A single sequence is a
-batch of one.
+per-frame labels and prediction all hand it the emission densities of
+their sequences stored back to back, and it steps through time once for
+the whole batch, each sequence stopping at its own length. A single
+sequence is a batch of one.
 
 Emission densities enter the recursions through their log values; each step
 shifts by the largest log density before exponentiating, so the scaled
@@ -143,6 +143,15 @@ def _frames_of(obs) -> np.ndarray:
     return frames
 
 
+def _demo_frames(demos: Sequence, dim: int) -> list[np.ndarray]:
+    """Each demo's frames, checked to have `dim` columns."""
+    seqs = [_frames_of(d) for d in demos]
+    for k, seq in enumerate(seqs):
+        if seq.shape[1] != dim:
+            raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {dim}")
+    return seqs
+
+
 def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """(T, S) log densities of the frames under each state's marginal on
     `dims`, read off the model with one Cholesky factor per state."""
@@ -150,14 +159,6 @@ def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> 
         _log_density(frames, g.mean[dims], _cholesky(g.cov[np.ix_(dims, dims)], "the covariance"))
         for g in model.emissions
     ])
-
-
-def _pad(pooled: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Rows of consecutive sequences as a zero-padded (N, T, ...) batch."""
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    out = np.zeros(valid.shape + pooled.shape[1:])
-    out[valid] = pooled
-    return out
 
 
 def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
@@ -171,10 +172,10 @@ def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
 
 
 class _Passes(NamedTuple):
-    a_hat: np.ndarray  # (N, T, S) normalized forward variables
+    a_hat: np.ndarray  # (F, S) normalized forward variables
     log_c: np.ndarray  # (N, T) log scaling constants, 0 past each length
-    b_hat: np.ndarray  # (N, T, S) shifted emission likelihoods, 1 on padding
-    beta_hat: np.ndarray | None  # (N, T, S) renormalized backward variables
+    b_hat: np.ndarray  # (F, S) shifted emission likelihoods
+    beta_hat: np.ndarray | None  # (F, S) renormalized backward variables
 
 
 def _forward_backward(
@@ -184,32 +185,35 @@ def _forward_backward(
     lengths: np.ndarray,
     backward: bool = False,
 ) -> _Passes:
-    """Scaled forward (and optionally backward) passes over a padded batch.
+    """Scaled forward (and optionally backward) passes over a batch.
 
-    `log_b` holds (N, T, S) emission log-densities, zero past each
-    sequence's length. Each frame is shifted by its largest log density
-    before exponentiating; the forward variables are normalized per step
-    and the log of each normalizer plus the shift is that step's scaling
-    constant, so a sequence's log-likelihood is the sum of its constants
-    (Rabiner 1989, section V-A). The backward variables are renormalized
-    per step as well, the scale cancelling in the posteriors, and restart
-    at 1 on each sequence's own last frame. Padded frames are computed but
-    never used.
+    `log_b` holds (F, S) emission log-densities of sequences stored back to
+    back, and the passes return rows in the same order; only the scaling
+    constants keep the (N, T) padded layout, which the kernel steps in.
+    Each frame is shifted by its largest log density before exponentiating;
+    the forward variables are normalized per step and the log of each
+    normalizer plus the shift is that step's scaling constant, so a
+    sequence's log-likelihood is the sum of its constants (Rabiner 1989,
+    section V-A). The backward variables are renormalized per step as
+    well, the scale cancelling in the posteriors, and restart at 1 on each
+    sequence's own last frame. Padded frames are computed but never used.
 
     The batch steps through time together. Each forward step is a stack of
     per-sequence vector-matrix products rather than one matrix product, so
     every sequence's forward variables equal, bit for bit, those of a batch
     holding that sequence alone.
     """
-    n, t_max, s = log_b.shape
-    valid = np.arange(t_max) < lengths[:, None]
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    n, t_max, s = *valid.shape, log_b.shape[1]
     # the padding is zero and so can fail none of the checks below
-    shift = log_b.max(axis=2)
+    padded = np.zeros((n, t_max, s))
+    padded[valid] = log_b
+    shift = padded.max(axis=2)
     if not np.isfinite(shift).all():
         bad = ~np.isfinite(shift)
         raise TrainingError(f"all states have zero emission likelihood at {_failed_frame(bad)}")
     # time-major, so each step reads and writes contiguous (N, S) blocks
-    b_hat = np.exp(log_b - shift[:, :, None]).transpose(1, 0, 2).copy()
+    b_hat = np.exp(padded - shift[:, :, None]).transpose(1, 0, 2).copy()
 
     a_hat = np.empty((t_max, n, s))
     total = np.empty((t_max, n))
@@ -247,9 +251,9 @@ def _forward_backward(
                 raise TrainingError(
                     f"backward mass vanished at {_failed_frame(~ok, backward=True)}"
                 )
-            beta_hat = beta_hat.transpose(1, 0, 2)
+            beta_hat = beta_hat.transpose(1, 0, 2)[valid]
     return _Passes(
-        a_hat.transpose(1, 0, 2), log_c, b_hat.transpose(1, 0, 2), beta_hat
+        a_hat.transpose(1, 0, 2)[valid], log_c, b_hat.transpose(1, 0, 2)[valid], beta_hat
     )
 
 
@@ -258,9 +262,9 @@ def _filtered_labels(model: HmmModel, seqs: Sequence, dims: Sequence[int]) -> li
     matrix under the model's marginal on `dims`, all sequences in one
     batched pass; ties go to the lowest state."""
     lengths = np.array([len(f) for f in seqs])
-    log_b = _pad(_log_emissions(model, np.vstack(seqs), dims), lengths)
+    log_b = _log_emissions(model, np.vstack(seqs), dims)
     a_hat = _forward_backward(model.priors, model.transitions, log_b, lengths).a_hat
-    return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
+    return np.split(np.argmax(a_hat, axis=1), np.cumsum(lengths)[:-1])
 
 
 def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardResult:
@@ -271,20 +275,17 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
     `dims` (all model dimensions when dims is None).
     """
     frames = _frames_of(obs)
-    dims = list(range(model.dim)) if dims is None else [int(d) for d in dims]
+    dims = range(model.dim) if dims is None else dims
     if frames.shape[1] != len(dims):
         raise ValueError(
             f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
         )
     log_b = _log_emissions(model, frames, _check_index_list(dims, model.dim))
-    passes = _forward_backward(
-        model.priors, model.transitions, log_b[None], np.array([len(frames)])
-    )
-    a_hat = passes.a_hat[0]
-    log_cum = np.cumsum(passes.log_c[0])
+    passes = _forward_backward(model.priors, model.transitions, log_b, np.array([len(frames)]))
+    log_cum = np.cumsum(passes.log_c)  # flattens the (1, T) constants of a batch of one
     with np.errstate(divide="ignore"):
-        log_alpha = np.log(a_hat) + log_cum[:, None]
-    return ForwardResult(h=a_hat, log_alpha=log_alpha, log_likelihood=float(log_cum[-1]))
+        log_alpha = np.log(passes.a_hat) + log_cum[:, None]
+    return ForwardResult(h=passes.a_hat, log_alpha=log_alpha, log_likelihood=float(log_cum[-1]))
 
 
 def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel:
@@ -299,12 +300,9 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
     demos = list(demos)
     if not demos:
         raise ValueError("demo list is empty")
-    seqs = [_frames_of(d) for d in demos]
-    dim = seqs[0].shape[1]
+    seqs = _demo_frames(demos, _frames_of(demos[0]).shape[1])
     split = None
     for k, (demo, seq) in enumerate(zip(demos, seqs)):
-        if seq.shape[1] != dim:
-            raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {dim}")
         if len(seq) < num_states:
             raise ValueError(
                 f"demo {k} has {len(seq)} frames, fewer than {num_states} bins"
@@ -315,7 +313,7 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
             elif demo.split != split:
                 raise ValueError("demos carry inconsistent dimension splits")
     if split is None:
-        split = DimensionSplit(tuple(range(dim)), ())
+        split = DimensionSplit(tuple(range(seqs[0].shape[1])), ())
 
     bins: list[list[np.ndarray]] = [[] for _ in range(num_states)]
     for seq in seqs:
@@ -338,7 +336,6 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
 
 def marginal_model(model: HmmModel, dims: Sequence[int]) -> HmmModel:
     """Same chain, emissions marginalized to `dims`, split remapped."""
-    dims = [int(d) for d in dims]
     emissions = tuple(marginalize(g, dims) for g in model.emissions)
     return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
 
@@ -355,22 +352,22 @@ def _e_step(model: HmmModel, pooled: np.ndarray, lengths: np.ndarray) -> tuple[_
     """Posterior statistics of sequences stored back to back in `pooled`."""
     trans = model.transitions
     # one Cholesky per state for the whole batch
-    log_b = _pad(_log_emissions(model, pooled, np.arange(model.dim)), lengths)
+    log_b = _log_emissions(model, pooled, np.arange(model.dim))
     a_hat, log_c, b_hat, beta_hat = _forward_backward(
         model.priors, trans, log_b, lengths, backward=True
     )
-    valid = np.arange(a_hat.shape[1]) < lengths[:, None]
-    joint = a_hat[valid] * beta_hat[valid]
+    joint = a_hat * beta_hat
     row_tot = joint.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(row_tot)) or np.any(row_tot <= 0):
         raise TrainingError("state posterior collapsed to zero mass")
     gamma = joint / row_tot
 
     # pairwise posteriors a_t(i) A(i, j) c_t+1(j) / Z_t, each summing to 1
-    # over (i, j), accumulated without forming the (N, T-1, S, S) tensor
-    pair = valid[:, 1:]
-    a_prev = a_hat[:, :-1][pair]
-    c_next = (b_hat * beta_hat)[:, 1:][pair]
+    # over (i, j), accumulated without forming the (F-1, S, S) tensor; a
+    # row pairs with the next one when both belong to the same sequence
+    pair = np.diff(np.repeat(np.arange(len(lengths)), lengths)) == 0
+    a_prev = a_hat[:-1][pair]
+    c_next = (b_hat * beta_hat)[1:][pair]
     slice_tot = np.einsum("fi,ij,fj->f", a_prev, trans, c_next)
     if not np.all(np.isfinite(slice_tot)) or np.any(slice_tot <= 0):
         raise TrainingError("pairwise posterior collapsed to zero mass")
@@ -422,6 +419,13 @@ def _m_step(
     return HmmModel(priors, trans, tuple(emissions), model.split)
 
 
+def _check_em_args(max_iter: int, tol: float, eps: float) -> None:
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if tol < 0 or eps < 0:
+        raise ValueError("tol and eps must be non-negative")
+
+
 def baum_welch(
     model: HmmModel,
     demos: Sequence,
@@ -437,17 +441,11 @@ def baum_welch(
     when a regularized update would lower the likelihood (the update is then
     discarded, keeping the history non-decreasing).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol < 0 or eps < 0:
-        raise ValueError("tol and eps must be non-negative")
+    _check_em_args(max_iter, tol, eps)
     demos = list(demos)
     if not demos:
         raise ValueError("demo list is empty")
-    seqs = [_frames_of(d) for d in demos]
-    for k, seq in enumerate(seqs):
-        if seq.shape[1] != model.dim:
-            raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {model.dim}")
+    seqs = _demo_frames(demos, model.dim)
 
     pooled = np.vstack(seqs)
     lengths = np.array([len(seq) for seq in seqs])
@@ -521,14 +519,15 @@ def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np
     return log_b, cond
 
 
-def _gmr(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixture regression of the robot dims on checked (T, D_human) frames:
-    the (T, R) prediction, the forward variables of the human marginal
-    (T, S) that weight it, and the states' human log densities (T, S)."""
+def _gmr(
+    model: HmmModel, frames: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture regression of the robot dims on checked (F, D_human) frames
+    of sequences stored back to back: the (F, R) prediction, the forward
+    variables of the human marginal (F, S) that weight it, and the states'
+    human log densities (F, S)."""
     log_b, cond = _human_marginal(model, frames)
-    h = _forward_backward(
-        model.priors, model.transitions, log_b[None], np.array([len(frames)])
-    ).a_hat[0]
+    h = _forward_backward(model.priors, model.transitions, log_b, lengths).a_hat
     return np.einsum("ts,tsr->tr", h, cond), h, log_b
 
 
@@ -539,7 +538,8 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     marginal; the output is the responsibility-weighted sum of each state's
     conditional mean given the frame's human observation.
     """
-    rows, _, _ = _gmr(model, _human_frames(model, human_obs))
+    frames = _human_frames(model, human_obs)
+    rows, _, _ = _gmr(model, frames, np.array([len(frames)]))
     return FeatureSequence(rows, model.split.restrict(model.split.robot_idx))
 
 

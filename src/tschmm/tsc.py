@@ -22,9 +22,10 @@ from .data import FeatureSequence
 from .hmm import (
     HmmModel,
     TrainingError,
+    _check_em_args,
     _check_split,
+    _demo_frames,
     _filtered_labels,
-    _frames_of,
     _gmr,
     _human_frames,
     _human_marginal,
@@ -118,7 +119,7 @@ def detect_transition_states(
     Returns the pooled joint observations at masked frames as an (N, D)
     array plus one dilated boolean mask per demo.
     """
-    seqs = [_frames_of(d) for d in demos]
+    seqs = _demo_frames(demos, base.dim)
     if not seqs:
         return np.zeros((0, base.dim)), []
     _, _, masks = _segmentation(base, seqs, w)
@@ -150,7 +151,8 @@ def fit(
     """
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
-    seqs = [_frames_of(d) for d in demos]
+    _check_em_args(max_iter, tol, eps)
+    seqs = _demo_frames(demos, base.dim)
     samples, masks = detect_transition_states(base, seqs, w)
     return _fit_detected(base, seqs, samples, masks, num_states, w, eps, max_iter, tol)
 
@@ -203,9 +205,15 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     (`gmr_predict`) exactly.
     """
     base = model.base
-    # gmr_predict's rows, with the arrays the gate weighs them by
     frames = _human_frames(base, human_obs)
-    out, h, log_b_base = _gmr(base, frames)
+    out = _predict(model, frames, np.array([len(frames)]))
+    return FeatureSequence(out, base.split.restrict(base.split.robot_idx))
+
+
+def _predict(model: TscModel, frames: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`predict`'s (F, R) rows for checked human frames of sequences stored back to back."""
+    # gmr_predict's rows, with the arrays the gate weighs them by
+    out, h, log_b_base = _gmr(model.base, frames, lengths)
     if model.transition is not None:
         log_b_trans, trans_cond = _human_marginal(model.transition, frames)
         with np.errstate(divide="ignore"):
@@ -214,7 +222,7 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
         if np.any(fire):
             resp = _softmax_rows(log_b_trans[fire])
             out[fire] = np.einsum("ts,tsr->tr", resp, trans_cond[fire])
-    return FeatureSequence(out, base.split.restrict(base.split.robot_idx))
+    return out
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from tschmm import cli, tsc
+from tschmm import cli, hmm, tsc
 from tschmm.cli import main
 from tschmm.data import Dataset, Demonstration, build_features, load_csv, save_csv
 from tschmm.evaluation import REPORT_COLUMNS, ExperimentConfig, mse
@@ -139,6 +139,35 @@ def test_predict_writes_one_row_per_frame(workdir, data_csv, trained):
                        "true_x", "true_y", "true_z"]
     ds = load_csv(data_csv)
     assert len(rows) - 1 == sum(len(d.human_pos) for d in ds.demos)
+
+
+@pytest.mark.parametrize("kind, marginals", [("tsc", 2), ("fallback", 1), ("hmm", 1)])
+def test_predict_runs_one_kernel_pass_per_file(workdir, data_csv, trained, kind, marginals,
+                                               monkeypatch):
+    tsc_model = load_model(trained[0])
+    model = {"tsc": tsc_model, "fallback": TscModel(tsc_model.base, None, 2),
+             "hmm": tsc_model.base}[kind]
+    model_path = workdir / f"kernel_{kind}.json"
+    save_model(model, model_path)
+    calls = {"_forward_backward": 0, "_human_marginal": 0}
+    for name in calls:
+        original = getattr(hmm, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # tsc imports _human_marginal by name; patch it there too
+        for module in (hmm, tsc):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    ds = load_csv(data_csv)
+    for n in (1, len(ds.demos)):
+        data_path = workdir / f"kernel_{n}.csv"
+        save_csv(Dataset(ds.demos[:n]), data_path)
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                       "--out", str(workdir / "kernel_pred.csv"))[0] == 0
+        assert calls == {"_forward_backward": 1, "_human_marginal": marginals}
 
 
 def test_predict_csv_agrees_with_library_score(workdir, data_csv, trained):

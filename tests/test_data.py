@@ -6,7 +6,6 @@ import pytest
 from tschmm import data
 from tschmm.data import (
     CSV_COLUMNS,
-    Dataset,
     Demonstration,
     DimensionSplit,
     FeatureSequence,
@@ -72,15 +71,11 @@ def test_demonstration_validates_shape_and_length():
         Demonstration(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="finite"):
         Demonstration(np.full((2, 3), np.nan), ok)
-    with pytest.raises(ValueError, match="rate_hz"):
-        Demonstration(ok, ok, rate_hz=0.0)
 
 
 def test_feature_sequence_accessors_and_restrict():
     frames = np.arange(24.0).reshape(2, 12)
     feat = FeatureSequence(frames, standard_split())
-    assert np.array_equal(feat.human, frames[:, :6])
-    assert np.array_equal(feat.robot, frames[:, 6:])
     sub = feat.restrict([0, 6])
     assert sub.split.human_idx == (0,)
     assert sub.split.robot_idx == (1,)
@@ -90,13 +85,6 @@ def test_feature_sequence_accessors_and_restrict():
 def test_feature_sequence_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         FeatureSequence(np.zeros((2, 5)), standard_split())
-
-
-def test_dataset_rejects_mixed_rates():
-    a = Demonstration(np.zeros((2, 3)), np.zeros((2, 3)), rate_hz=40.0)
-    b = Demonstration(np.zeros((2, 3)), np.zeros((2, 3)), rate_hz=30.0)
-    with pytest.raises(ValueError, match="rates"):
-        Dataset((a, b))
 
 
 # --- build_features ----------------------------------------------------------

@@ -231,6 +231,21 @@ def test_render_csv_shape_and_values():
 
 # --- config validation ---------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_seeds", 1.5), ("base_states", True), ("window", 2.0), ("max_iter", "40"),
+     ("tol", "x"), ("reg_eps", True), ("tol", None)],
+)
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_numpy_and_integral_numbers():
+    cfg = ExperimentConfig(n_seeds=np.int64(2), window=np.uint8(0), tol=0, reg_eps=np.float32(0.5))
+    assert cfg.n_seeds == 2 and cfg.window == 0 and cfg.tol == 0
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(base_states=0)

@@ -95,6 +95,18 @@ def test_marginalize_rejects_bad_index_lists():
         marginalize(g, [2, 0])
 
 
+def test_index_lists_reject_non_integer_entries():
+    g = GaussianState(np.zeros(3), np.eye(3))
+    # integral in value or not, a float or a bool is not an index
+    for bad in ([0.5, 2.7], [True, 2], np.array([0.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="idx must hold integers"):
+            marginalize(g, bad)
+    with pytest.raises(ValueError, match="obs_idx must hold integers"):
+        condition(g, [1.9], np.zeros(1))
+    assert marginalize(g, np.array([0, 2], dtype=np.uint8)).dim == 2
+    assert marginalize(g, (0, np.int64(2))).dim == 2
+
+
 def test_condition_bivariate_closed_form():
     # unit-variance pair with correlation 0.5, observe x0=1:
     # mean = 0.5 * 1, var = 1 - 0.5^2

@@ -16,7 +16,6 @@ from tschmm.hmm import (
     _e_step,
     _forward_backward,
     _log_emissions,
-    _pad,
     baum_welch,
     forward,
     gmr_predict,
@@ -157,6 +156,18 @@ def test_forward_validates_observation_width():
         forward(hand_model(), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="non-empty"):
         forward(hand_model(), np.zeros((0, 1)))
+
+
+def test_dims_must_be_integers():
+    model = _model_from_params(*random_hmm_params(np.random.default_rng(3), 2, 3))
+    frames = np.zeros((4, 2))
+    for bad in ([0.5, 1], [True, 2]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            forward(model, frames, bad)
+        with pytest.raises(ValueError, match="must hold integers"):
+            viterbi_labels(model, frames, bad)
+        with pytest.raises(ValueError, match="must hold integers"):
+            marginal_model(model, bad)
 
 
 # --- init_temporal_bins ---------------------------------------------------------
@@ -450,18 +461,19 @@ def test_kernel_forward_backward_matches_per_sequence_reference():
     for seed in range(5):
         model, seqs = _ragged_batch(seed)
         lengths = np.array(RAGGED_LENGTHS)
-        log_b = _pad(_log_emissions(model, np.vstack(seqs), np.arange(model.dim)), lengths)
+        log_b = _log_emissions(model, np.vstack(seqs), np.arange(model.dim))
         got = _forward_backward(model.priors, model.transitions, log_b, lengths, backward=True)
         for k, frames in enumerate(seqs):
             n = len(frames)
+            rows = slice(sum(RAGGED_LENGTHS[:k]), sum(RAGGED_LENGTHS[:k]) + n)
             a_hat, log_c, b_hat = _oracles.scaled_forward(
-                model.priors, model.transitions, log_b[k, :n]
+                model.priors, model.transitions, log_b[rows]
             )
             beta_hat = _oracles.scaled_backward(model.transitions, b_hat)
             # forward steps are per-sequence vector-matrix products: exact
-            assert np.array_equal(got.a_hat[k, :n], a_hat)
-            assert np.max(np.abs(got.beta_hat[k, :n] - beta_hat)) < 1e-10
-            assert np.max(np.abs(got.b_hat[k, :n] - b_hat)) < 1e-10
+            assert np.array_equal(got.a_hat[rows], a_hat)
+            assert np.max(np.abs(got.beta_hat[rows] - beta_hat)) < 1e-10
+            assert np.max(np.abs(got.b_hat[rows] - b_hat)) < 1e-10
             assert got.log_c[k].sum() == pytest.approx(log_c.sum(), abs=1e-10)
             assert np.all(got.log_c[k, n:] == 0.0)
 
@@ -505,10 +517,10 @@ def test_forward_single_sequence_is_bit_identical_to_reference():
 def test_kernel_names_the_first_bad_frame_of_a_batch():
     model, seqs = _ragged_batch(0)
     lengths = np.array(RAGGED_LENGTHS)
-    log_b = _pad(_log_emissions(model, np.vstack(seqs), np.arange(model.dim)), lengths)
+    log_b = _log_emissions(model, np.vstack(seqs), np.arange(model.dim))
     # every state at zero likelihood on frame 1 of sequence 3
     vanished = log_b.copy()
-    vanished[3, 1] = -np.inf
+    vanished[sum(RAGGED_LENGTHS[:3]) + 1] = -np.inf
     with pytest.raises(TrainingError, match="zero emission likelihood at frame 1 of sequence 3"):
         _forward_backward(model.priors, model.transitions, vanished, lengths)
     # the chain cannot reach the only state with mass at frame 5 of sequence 2
@@ -518,13 +530,13 @@ def test_kernel_names_the_first_bad_frame_of_a_batch():
         emissions=(GaussianState([0.0], [[1.0]]), GaussianState([0.0], [[1.0]])),
         split=DimensionSplit((0,), ()),
     )
-    blocked = np.zeros((3, 8, 2))
-    blocked[2, 5, 0] = -np.inf
+    blocked = np.zeros((3 * 8, 2))
+    blocked[2 * 8 + 5, 0] = -np.inf
     with pytest.raises(TrainingError, match="forward mass vanished at frame 5 of sequence 2"):
         _forward_backward(sticky.priors, sticky.transitions, blocked, np.array([8, 8, 8]))
     # a batch of one names the frame alone, as forward() always has
     with pytest.raises(TrainingError, match=r"forward mass vanished at frame 5$"):
-        _forward_backward(sticky.priors, sticky.transitions, blocked[2:], np.array([8]))
+        _forward_backward(sticky.priors, sticky.transitions, blocked[2 * 8:], np.array([8]))
 
 
 def test_e_step_on_zero_likelihood_frame_raises():

@@ -199,6 +199,23 @@ def test_fit_on_demos_shorter_than_the_dilation_kernel():
     assert not fit(base, demos, num_states=2, w=2).fallback
 
 
+def test_fit_and_detect_check_their_inputs_up_front():
+    ds, _ = synth_generate("rocket_fistbump", n_demos=8, noise_sigma=0.005, seed=0)
+    feats = [build_features(d) for d in ds.demos]
+    base, _ = baum_welch(init_temporal_bins(feats, 4, 1e-2), feats, max_iter=3)
+    short = [f.frames[:, :-1] for f in feats]
+    for call in (detect_transition_states, fit):
+        with pytest.raises(ValueError, match="demo 0 has dimension 11, expected 12"):
+            call(base, short, w=2)
+    # one demo falls back before any EM runs; the checks come first all the same
+    for demos in (feats[:1], feats):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            fit(base, demos, max_iter=0)
+        for bad in ({"eps": -1.0}, {"tol": -1.0}):
+            with pytest.raises(ValueError, match="tol and eps must be non-negative"):
+                fit(base, demos, **bad)
+
+
 def test_fit_validates_num_states():
     with pytest.raises(ValueError, match="num_states"):
         fit(_excursion_base(), [_excursion_demo()], num_states=0)
@@ -432,7 +449,17 @@ def test_predict_runs_the_forward_kernel_once(trained_kind, monkeypatch):
     monkeypatch.setattr(tsc, "_forward_backward", counted, raising=False)
     human = held_out[0]
     predict(model, human)
-    assert calls == [(1, len(human), model.base.num_states)]
+    assert calls == [(len(human), model.base.num_states)]
+
+
+def test_batched_prediction_equals_the_per_demo_route(trained_kind):
+    model, held_out = trained_kind
+    frames, lengths = np.vstack(held_out), np.array([len(h) for h in held_out])
+    for m in (model, TscModel(model.base, None, model.window)):
+        want = np.vstack([predict(m, human).frames for human in held_out])
+        assert np.array_equal(tsc._predict(m, frames, lengths), want)
+    want = np.vstack([gmr_predict(model.base, human).frames for human in held_out])
+    assert np.array_equal(hmm._gmr(model.base, frames, lengths)[0], want)
 
 
 def test_human_terms_match_the_twice_factored_reference(trained_kind):
@@ -506,10 +533,8 @@ def _marginal_model_labels(base, seqs, dims):
     sub = marginal_model(base, dims)
     lengths = np.array([len(f) for f in seqs])
     log_b = np.column_stack([log_density(np.vstack(seqs), g) for g in sub.emissions])
-    a_hat = hmm._forward_backward(
-        sub.priors, sub.transitions, hmm._pad(log_b, lengths), lengths
-    ).a_hat
-    return [labels[:n] for labels, n in zip(np.argmax(a_hat, axis=2), lengths)]
+    a_hat = hmm._forward_backward(sub.priors, sub.transitions, log_b, lengths).a_hat
+    return np.split(np.argmax(a_hat, axis=1), np.cumsum(lengths)[:-1])
 
 
 def test_human_labels_match_the_marginal_model_route(criterion6_split):
