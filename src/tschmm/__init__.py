@@ -30,7 +30,7 @@ from .evaluation import (
     run_experiment,
     run_single,
 )
-from .gaussian import GaussianState, condition, log_density, marginalize, regularize
+from .gaussian import GaussianState, log_density, marginalize
 from .hmm import (
     ForwardResult,
     HmmModel,
@@ -39,7 +39,6 @@ from .hmm import (
     forward,
     gmr_predict,
     init_temporal_bins,
-    marginal_model,
     viterbi_labels,
 )
 from .model_io import FORMAT_VERSION, load_model, save_model

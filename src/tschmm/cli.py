@@ -19,7 +19,8 @@ import numpy as np
 from . import data, tsc
 from .data import SYNTH_KINDS, build_features, load_csv, save_csv, synth_generate
 from .evaluation import ExperimentConfig, render_csv, render_table, run_experiment
-from .hmm import TrainingError, _check_split, _human_frames, baum_welch, init_temporal_bins
+from .hmm import (TrainingError, _check_split, _demo_frames, _human_frames, baum_welch,
+                  init_temporal_bins)
 from .model_io import load_model, save_model
 from .tsc import TscModel, detect_transition_states
 
@@ -136,6 +137,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _features(path: str):
+    """The dataset at `path` and its demos' features; errors name the file."""
+    ds = load_csv(path)
+    try:
+        return ds, [build_features(d) for d in ds.demos]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _model_and_data(args, window: int):
     """The model file as a TscModel, the dataset and its features, checked
     to fit each other. An hmm-kind file has no window: it becomes a
@@ -147,8 +157,7 @@ def _model_and_data(args, window: int):
         _check_split(model.base)
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from None
-    ds = load_csv(args.data)
-    feats = [build_features(d) for d in ds.demos]
+    ds, feats = _features(args.data)
     if model.base.dim != feats[0].width:
         raise _DimensionMismatch(
             f"model expects {model.base.dim} dims but the data has {feats[0].width}"
@@ -157,8 +166,7 @@ def _model_and_data(args, window: int):
 
 
 def cmd_train(args) -> int:
-    ds = load_csv(args.data)
-    feats = [build_features(d) for d in ds.demos]
+    _, feats = _features(args.data)
     init = init_temporal_bins(feats, args.base_states, args.reg_eps)
     base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg_eps)
     seqs = [f.frames for f in feats]
@@ -197,7 +205,7 @@ def cmd_predict(args) -> int:
 
 def cmd_segment(args) -> int:
     model, ds, feats = _model_and_data(args, args.window)
-    labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
+    labels = tsc._segmentation(model.base, _demo_frames(feats, model.base.dim), model.window)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t", "label_joint", "label_human",

@@ -240,11 +240,16 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def build_features(demo: Demonstration) -> FeatureSequence:
-    """Positions plus per-frame differences; the difference at t=0 is zero."""
+    """Positions plus per-frame differences; the difference at t=0 is zero.
+    A difference that overflows the float range raises ValueError."""
 
     def with_diff(pos: np.ndarray) -> np.ndarray:
         d = np.zeros_like(pos)
-        d[1:] = np.diff(pos, axis=0)
+        with np.errstate(over="ignore"):
+            d[1:] = np.diff(pos, axis=0)
+        bad = ~np.isfinite(d).all(axis=1)
+        if bad.any():
+            raise ValueError(f"position difference at frame {bad.argmax()} overflows")
         return np.hstack([pos, d])
 
     frames = np.hstack([with_diff(demo.human_pos), with_diff(demo.robot_pos)])

@@ -9,7 +9,6 @@ squared-error numbers live on a centimeter scale.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import tsc
 from .data import Dataset, FeatureSequence, _position_dims, build_features, sample_batch
-from .hmm import TrainingError, baum_welch, gmr_predict, init_temporal_bins
+from .hmm import TrainingError, _check_arg, baum_welch, gmr_predict, init_temporal_bins
 
 __all__ = [
     "ExperimentConfig",
@@ -48,11 +47,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Real if f.type == "float" else numbers.Integral
             least = 0 if f.name in ("reg_eps", "tol", "window") else 1
-            if isinstance(value, bool) or not isinstance(value, kind) or value < least:
-                raise ValueError(f"{f.name} must be {f.type} >= {least}, got {value!r}")
+            _check_arg(f.name, getattr(self, f.name), f.type, least)
 
 
 @dataclass(frozen=True)

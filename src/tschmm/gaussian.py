@@ -1,8 +1,9 @@
-"""Multivariate Gaussian primitives: density, marginals, conditionals.
+"""Multivariate Gaussian primitives: density, marginals, conditional means.
 
-All covariance algebra goes through Cholesky factorizations; covariance
-matrices are never inverted explicitly. Densities are evaluated in log
-space so that products over long observation sequences do not underflow.
+Every covariance factor is a Cholesky factor taken by `_cholesky`, which
+holds the one error path; covariance matrices are never inverted
+explicitly. Densities are evaluated in log space so that products over
+long observation sequences do not underflow.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ __all__ = [
     "GaussianState",
     "log_density",
     "marginalize",
-    "condition",
-    "regularize",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -135,44 +134,8 @@ def _conditional_affine(
     block's density (`_log_density`), and the map onto the `free_idx` dims.
     """
     s12 = g.cov[np.ix_(obs_idx, free_idx)]
-    try:
-        chol = np.linalg.cholesky(g.cov[np.ix_(obs_idx, obs_idx)])
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "observed-block covariance is singular; regularize the covariance "
-            "before conditioning"
-        ) from exc
+    chol = _cholesky(g.cov[np.ix_(obs_idx, obs_idx)], "the observed-block covariance")
     # gain = S21 S11^-1, computed as (L^-T L^-1 S12)^T
     y = solve_triangular(chol, s12, lower=True)
     gain = solve_triangular(chol, y, lower=True, trans="T").T
     return chol, gain, g.mean[free_idx] - gain @ g.mean[obs_idx]
-
-
-def condition(g: GaussianState, obs_idx: Sequence[int], obs_val: np.ndarray) -> GaussianState:
-    """Condition on observed dimensions; returns the Gaussian over the rest.
-
-    mean = mu2 + S21 S11^-1 (obs_val - mu1)
-    cov  = S22 - S21 S11^-1 S12
-    """
-    obs_idx = _check_index_list(obs_idx, g.dim, "obs_idx")
-    obs_val = np.asarray(obs_val, dtype=float)
-    if obs_val.shape != (obs_idx.size,):
-        raise ValueError(
-            f"obs_val has shape {obs_val.shape}, expected ({obs_idx.size},)"
-        )
-    free_idx = np.setdiff1d(np.arange(g.dim), obs_idx)
-    if free_idx.size == 0:
-        raise ValueError("cannot condition on every dimension")
-    _, gain, offset = _conditional_affine(g, obs_idx, free_idx)
-    cond_cov = g.cov[np.ix_(free_idx, free_idx)] - gain @ g.cov[np.ix_(obs_idx, free_idx)]
-    return GaussianState(offset + gain @ obs_val, 0.5 * (cond_cov + cond_cov.T))
-
-
-def regularize(cov: np.ndarray, eps: float) -> np.ndarray:
-    """cov + eps * I."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("cov must be a square matrix")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    return cov + eps * np.eye(cov.shape[0])

@@ -2,9 +2,9 @@
 
 Provides temporal-bin initialization, the per-step normalized (scaled)
 forward recursion with log-likelihood recovered from the scaling constants,
-Baum-Welch re-estimation with covariance regularization, marginal sub-models
-over a dimension subset, per-frame most-likely-state labels, and conditional
-prediction of the unobserved dimensions by Gaussian mixture regression.
+Baum-Welch re-estimation with covariance regularization, per-frame
+most-likely-state labels, and conditional prediction of the unobserved
+dimensions by Gaussian mixture regression.
 
 One kernel runs every forward and backward recursion: the E-step, the
 per-frame labels and prediction all hand it the emission densities of
@@ -20,6 +20,7 @@ recursion never underflows even for long, high-dimensional sequences.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -32,19 +33,15 @@ from .gaussian import (
     _cholesky,
     _conditional_affine,
     _log_density,
-    marginalize,
-    regularize,
 )
 
 __all__ = [
     "HmmModel",
     "ForwardResult",
     "TrainingError",
-    "DimensionSplit",
     "init_temporal_bins",
     "forward",
     "baum_welch",
-    "marginal_model",
     "gmr_predict",
     "viterbi_labels",
 ]
@@ -150,6 +147,18 @@ def _demo_frames(demos: Sequence, dim: int) -> list[np.ndarray]:
         if seq.shape[1] != dim:
             raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {dim}")
     return seqs
+
+
+def _check_arg(name: str, value, kind: str, least: int) -> None:
+    """Reject `value` unless it is of `kind` ("int" or "float"), not a bool, and >= least."""
+    cls = numbers.Integral if kind == "int" else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, cls) or not value >= least:
+        raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
+
+
+def _regularize(cov: np.ndarray, eps: float) -> np.ndarray:
+    """cov + eps * I."""
+    return cov + eps * np.eye(len(cov))
 
 
 def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -280,7 +289,7 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
         raise ValueError(
             f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
         )
-    log_b = _log_emissions(model, frames, _check_index_list(dims, model.dim))
+    log_b = _log_emissions(model, frames, _check_index_list(dims, model.dim, "dims"))
     passes = _forward_backward(model.priors, model.transitions, log_b, np.array([len(frames)]))
     log_cum = np.cumsum(passes.log_c)  # flattens the (1, T) constants of a batch of one
     with np.errstate(divide="ignore"):
@@ -295,8 +304,8 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
     remainder; bin k pooled across sequences yields emission k's mean and
     eps-regularized covariance. Priors and transition rows start uniform.
     """
-    if num_states < 1:
-        raise ValueError("num_states must be at least 1")
+    _check_arg("num_states", num_states, "int", 1)
+    _check_arg("eps", eps, "float", 0)
     demos = list(demos)
     if not demos:
         raise ValueError("demo list is empty")
@@ -326,18 +335,12 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
         mean = x.mean(axis=0)
         centered = x - mean
         cov = (centered.T @ centered) / len(x)
-        cov = regularize(0.5 * (cov + cov.T), eps)
+        cov = _regularize(0.5 * (cov + cov.T), eps)
         emissions.append(GaussianState(mean, cov))
 
     priors = np.full(num_states, 1.0 / num_states)
     trans = np.full((num_states, num_states), 1.0 / num_states)
     return HmmModel(priors, trans, tuple(emissions), split)
-
-
-def marginal_model(model: HmmModel, dims: Sequence[int]) -> HmmModel:
-    """Same chain, emissions marginalized to `dims`, split remapped."""
-    emissions = tuple(marginalize(g, dims) for g in model.emissions)
-    return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
 
 
 class _EStats(NamedTuple):
@@ -411,7 +414,7 @@ def _m_step(
         mean = stats.mean_acc[i] / stats.resp[i]
         centered = pooled - mean
         acc = (stats.gamma[:, i] * centered.T) @ centered
-        cov = regularize(0.5 * (acc + acc.T) / stats.resp[i], eps)
+        cov = _regularize(0.5 * (acc + acc.T) / stats.resp[i], eps)
         try:
             emissions.append(GaussianState(mean, cov))
         except ValueError as exc:
@@ -420,10 +423,9 @@ def _m_step(
 
 
 def _check_em_args(max_iter: int, tol: float, eps: float) -> None:
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol < 0 or eps < 0:
-        raise ValueError("tol and eps must be non-negative")
+    _check_arg("max_iter", max_iter, "int", 1)
+    _check_arg("tol", tol, "float", 0)
+    _check_arg("eps", eps, "float", 0)
 
 
 def baum_welch(
@@ -451,7 +453,7 @@ def baum_welch(
     lengths = np.array([len(seq) for seq in seqs])
     centered = pooled - pooled.mean(axis=0)
     global_cov = (centered.T @ centered) / len(pooled)
-    global_cov = regularize(0.5 * (global_cov + global_cov.T), eps)
+    global_cov = _regularize(0.5 * (global_cov + global_cov.T), eps)
     global_cov.setflags(write=False)
 
     current = model

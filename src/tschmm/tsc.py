@@ -22,6 +22,7 @@ from .data import FeatureSequence
 from .hmm import (
     HmmModel,
     TrainingError,
+    _check_arg,
     _check_em_args,
     _check_split,
     _demo_frames,
@@ -149,8 +150,7 @@ def fit(
     separate training sequences so no artificial transitions appear between
     unrelated events. `demos` may be any iterable; it is read once.
     """
-    if num_states < 1:
-        raise ValueError("num_states must be at least 1")
+    _check_arg("num_states", num_states, "int", 1)
     _check_em_args(max_iter, tol, eps)
     seqs = _demo_frames(demos, base.dim)
     samples, masks = detect_transition_states(base, seqs, w)

@@ -516,6 +516,17 @@ def _bad_byte_on_line_6(text: str) -> bytes:
     return b"".join(lines)
 
 
+def _overflowing_positions(text: str) -> str:
+    """Dataset CSV text whose first demo's hx is 1.7e308 at t=1 and -1.7e308
+    at t=2: both finite, their difference not."""
+    lines = text.splitlines(keepends=True)
+    for k, value in ((2, "1.7e308"), (3, "-1.7e308")):
+        fields = lines[k].split(",")
+        fields[2] = value
+        lines[k] = ",".join(fields)
+    return "".join(lines)
+
+
 @pytest.mark.parametrize(
     "command, kind, mangle, message",
     [
@@ -538,11 +549,17 @@ def _bad_byte_on_line_6(text: str) -> bytes:
         *[(command, "model", lambda text, side=side: _one_sided_split(text, side),
            r"model split must include human and robot dimensions")
           for command in ("predict", "segment") for side in ("robot_idx", "human_idx")],
+        # the overflow must raise, not warn: a RuntimeWarning fails the test
+        *[(command, "data", _overflowing_positions,
+           r"position difference at frame 2 overflows")
+          for command in ("train", "predict", "segment")],
     ],
     ids=["oversize-csv-field", "csv-not-utf8", "huge-int-prior", "huge-int-mean",
          "truncated-model", "model-not-utf8", "deeply-nested-model",
          "predict-no-human-dims", "predict-no-robot-dims",
-         "segment-no-human-dims", "segment-no-robot-dims"],
+         "segment-no-human-dims", "segment-no-robot-dims",
+         "train-overflowing-positions", "predict-overflowing-positions",
+         "segment-overflowing-positions"],
 )
 def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, command,
                                                    kind, mangle, message):

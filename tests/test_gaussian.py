@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from tschmm.gaussian import (
-    GaussianState,
-    condition,
-    log_density,
-    marginalize,
-    regularize,
-)
+from tschmm.gaussian import GaussianState, log_density, marginalize
 
 # ln N(0; 0, 1) = -0.5 * ln(2*pi), checked against scipy.stats.norm
 LOG_STD_NORMAL_AT_ZERO = -0.9189385332046727
@@ -101,68 +95,5 @@ def test_index_lists_reject_non_integer_entries():
     for bad in ([0.5, 2.7], [True, 2], np.array([0.0, 2.0]), np.array([True, False])):
         with pytest.raises(ValueError, match="idx must hold integers"):
             marginalize(g, bad)
-    with pytest.raises(ValueError, match="obs_idx must hold integers"):
-        condition(g, [1.9], np.zeros(1))
     assert marginalize(g, np.array([0, 2], dtype=np.uint8)).dim == 2
     assert marginalize(g, (0, np.int64(2))).dim == 2
-
-
-def test_condition_bivariate_closed_form():
-    # unit-variance pair with correlation 0.5, observe x0=1:
-    # mean = 0.5 * 1, var = 1 - 0.5^2
-    g = GaussianState([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
-    c = condition(g, [0], np.array([1.0]))
-    assert c.mean[0] == pytest.approx(0.5, abs=1e-12)
-    assert c.cov[0, 0] == pytest.approx(0.75, abs=1e-12)
-
-
-def test_condition_matches_explicit_inverse_oracle():
-    """Cholesky-based conditioning against the textbook inverse formulas."""
-    rng = np.random.default_rng(42)
-    for trial in range(100):
-        d = int(rng.integers(2, 13))
-        k = int(rng.integers(1, d))
-        obs_idx = np.sort(rng.choice(d, size=k, replace=False))
-        free_idx = np.setdiff1d(np.arange(d), obs_idx)
-        mean = rng.normal(size=d)
-        cov = _random_pd_cov(rng, d)
-        val = rng.normal(size=k)
-
-        got = condition(GaussianState(mean, cov), obs_idx, val)
-
-        s11 = cov[np.ix_(obs_idx, obs_idx)]
-        s12 = cov[np.ix_(obs_idx, free_idx)]
-        s22 = cov[np.ix_(free_idx, free_idx)]
-        inv = np.linalg.inv(s11)
-        want_mean = mean[free_idx] + s12.T @ inv @ (val - mean[obs_idx])
-        want_cov = s22 - s12.T @ inv @ s12
-        assert np.max(np.abs(got.mean - want_mean)) < 1e-10
-        assert np.max(np.abs(got.cov - want_cov)) < 1e-10
-
-
-def test_condition_validates_arguments():
-    g = GaussianState(np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError, match="shape"):
-        condition(g, [0, 1], np.zeros(3))
-    with pytest.raises(ValueError, match="every dimension"):
-        condition(g, [0, 1, 2], np.zeros(3))
-
-
-def test_condition_singular_observed_block_raises():
-    cov = np.array([[0.0, 0.0], [0.0, 1.0]])
-    g = GaussianState(np.zeros(2), cov)
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        condition(g, [0], np.zeros(1))
-
-
-def test_regularize_adds_scaled_identity():
-    cov = np.array([[1.0, 0.3], [0.3, 2.0]])
-    out = regularize(cov, 0.5)
-    assert np.array_equal(out, cov + 0.5 * np.eye(2))
-
-
-def test_regularize_validates_inputs():
-    with pytest.raises(ValueError, match="square"):
-        regularize(np.zeros((2, 3)), 0.1)
-    with pytest.raises(ValueError, match="non-negative"):
-        regularize(np.eye(2), -1.0)

@@ -1,6 +1,7 @@
 """Tests for the Gaussian-emission HMM: forward pass, EM, marginals, GMR."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import logsumexp
 import _oracles
 from _oracles import brute_force_log_likelihood, random_hmm_params
 from tschmm.data import Demonstration, DimensionSplit, FeatureSequence, build_features
-from tschmm.gaussian import GaussianState, condition
+from tschmm.gaussian import GaussianState, marginalize
 from tschmm.hmm import (
     HmmModel,
     TrainingError,
@@ -20,7 +21,6 @@ from tschmm.hmm import (
     forward,
     gmr_predict,
     init_temporal_bins,
-    marginal_model,
     viterbi_labels,
 )
 
@@ -128,6 +128,13 @@ def test_forward_log_likelihood_matches_path_enumeration():
         assert logsumexp(res.log_alpha[-1]) == pytest.approx(want, abs=1e-8)
 
 
+def _marginal_model(model, dims):
+    """The model's marginal on `dims` built as a sub-model, the reference
+    that forward(dims=) must match without building one."""
+    emissions = tuple(marginalize(g, dims) for g in model.emissions)
+    return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
+
+
 def test_forward_dims_equivalent_to_marginal_model():
     rng = np.random.default_rng(23)
     priors, trans, means, covs = random_hmm_params(rng, 3, 4)
@@ -135,7 +142,7 @@ def test_forward_dims_equivalent_to_marginal_model():
     model = _model_from_params(priors, trans, means, covs, split)
     obs = rng.normal(size=(25, 2))
     via_dims = forward(model, obs, [0, 1])
-    via_marginal = forward(marginal_model(model, [0, 1]), obs)
+    via_marginal = forward(_marginal_model(model, [0, 1]), obs)
     assert np.max(np.abs(via_dims.h - via_marginal.h)) < 1e-10
     assert via_dims.log_likelihood == pytest.approx(
         via_marginal.log_likelihood, abs=1e-10
@@ -162,12 +169,10 @@ def test_dims_must_be_integers():
     model = _model_from_params(*random_hmm_params(np.random.default_rng(3), 2, 3))
     frames = np.zeros((4, 2))
     for bad in ([0.5, 1], [True, 2]):
-        with pytest.raises(ValueError, match="must hold integers"):
+        with pytest.raises(ValueError, match="^dims must hold integers"):
             forward(model, frames, bad)
-        with pytest.raises(ValueError, match="must hold integers"):
+        with pytest.raises(ValueError, match="^dims must hold integers"):
             viterbi_labels(model, frames, bad)
-        with pytest.raises(ValueError, match="must hold integers"):
-            marginal_model(model, bad)
 
 
 # --- init_temporal_bins ---------------------------------------------------------
@@ -235,26 +240,6 @@ def test_init_bins_validates_inputs():
         init_temporal_bins([np.zeros((2, 1))], 3, eps=0.1)
     with pytest.raises(ValueError, match="dimension"):
         init_temporal_bins([np.zeros((4, 1)), np.zeros((4, 2))], 2, eps=0.1)
-
-
-# --- marginal_model --------------------------------------------------------------
-
-def test_marginal_model_all_dims_is_identity():
-    model = hand_model()
-    marg = marginal_model(model, [0])
-    assert np.array_equal(marg.priors, model.priors)
-    assert np.array_equal(marg.transitions, model.transitions)
-    assert np.array_equal(marg.emissions[0].mean, model.emissions[0].mean)
-
-
-def test_marginal_model_remaps_split():
-    rng = np.random.default_rng(2)
-    priors, trans, means, covs = random_hmm_params(rng, 2, 4)
-    model = _model_from_params(priors, trans, means, covs, DimensionSplit((0, 1), (2, 3)))
-    marg = marginal_model(model, [1, 2])
-    assert marg.split.human_idx == (0,)
-    assert marg.split.robot_idx == (1,)
-    assert np.array_equal(marg.emissions[0].mean, means[0][[1, 2]])
 
 
 # --- baum_welch -------------------------------------------------------------------
@@ -343,12 +328,36 @@ def test_baum_welch_validates_inputs():
     model = hand_model()
     with pytest.raises(ValueError, match="max_iter"):
         baum_welch(model, [np.zeros((4, 1))], max_iter=0)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="tol must be float >= 0"):
         baum_welch(model, [np.zeros((4, 1))], tol=-1.0)
     with pytest.raises(ValueError, match="empty"):
         baum_welch(model, [])
     with pytest.raises(ValueError, match="dimension"):
         baum_welch(model, [np.zeros((4, 2))])
+
+
+def test_em_and_init_arguments_are_checked_by_type():
+    model, demos = hand_model(), [np.zeros((4, 1))]
+    for bad, message in (
+        ({"max_iter": 2.5}, "max_iter must be int >= 1, got 2.5"),
+        ({"max_iter": True}, "max_iter must be int >= 1, got True"),
+        ({"tol": "x"}, "tol must be float >= 0, got 'x'"),
+        ({"tol": np.nan}, "tol must be float >= 0, got nan"),
+        ({"eps": False}, "eps must be float >= 0, got False"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            baum_welch(model, demos, **bad)
+    for num_states, eps, message in (
+        (2.5, 1e-2, "num_states must be int >= 1, got 2.5"),
+        (True, 1e-2, "num_states must be int >= 1, got True"),
+        (2, -1.0, "eps must be float >= 0, got -1.0"),
+        (2, "x", "eps must be float >= 0, got 'x'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            init_temporal_bins(demos, num_states, eps)
+    # numpy scalars are numbers like any other
+    assert init_temporal_bins(demos, np.int64(2), np.float64(0.1)).num_states == 2
+    baum_welch(model, demos, max_iter=np.int32(1), tol=np.float32(0.0), eps=np.float64(0.1))
 
 
 # --- gmr_predict --------------------------------------------------------------------
@@ -376,8 +385,18 @@ def test_gmr_single_state_matches_bivariate_conditioning():
     )
     out = gmr_predict(model, np.array([[1.0]]))
     assert out.frames[0, 0] == pytest.approx(0.5, abs=1e-12)
-    want = condition(g, [0], np.array([1.0])).mean[0]
-    assert out.frames[0, 0] == pytest.approx(want, abs=1e-12)
+
+
+def test_gmr_singular_human_block_raises():
+    model = HmmModel(
+        priors=np.array([1.0]),
+        transitions=np.array([[1.0]]),
+        emissions=(GaussianState(np.zeros(2), np.array([[0.0, 0.0], [0.0, 1.0]])),),
+        split=DimensionSplit((0,), (1,)),
+    )
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Cholesky factorization of the observed-block covariance failed"):
+        gmr_predict(model, np.zeros((3, 1)))
 
 
 def test_gmr_follows_the_dominant_state():

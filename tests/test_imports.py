@@ -1,5 +1,6 @@
-"""Every name a tschmm module imports is used in that module, and every
-top-level private name a module defines is used somewhere in the package.
+"""Every name a tschmm module imports is used in that module, every
+top-level private name a module defines is used somewhere in the package,
+and every name a module exports in `__all__` is defined in that module.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -99,3 +100,31 @@ def test_the_check_finds_a_dead_private_name():
         "b.py": "from a import _used\nimport a\n\nx = a._TABLE\n",
     }
     assert _dead_private_names(sources) == ["a.py: _recursive", "a.py: _K", "a.py: _Box"]
+
+
+def _exported_but_not_defined(source: str) -> list[str]:
+    """Names in the module's `__all__` that no top-level def, class or
+    assignment of the module binds: re-exports and stale entries."""
+    tree = ast.parse(source)
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_defines_every_name_it_exports(path):
+    assert _exported_but_not_defined(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_exported_name_the_module_does_not_define():
+    source = ("from a import B\n__all__ = ['B', 'C', 'f', 'K', 'gone']\n"
+              "class C:\n    pass\n\ndef f():\n    pass\n\nK: int = 1\n")
+    assert _exported_but_not_defined(source) == ["B", "gone"]

@@ -1,6 +1,7 @@
 """Tests for transition-state detection, the second-level HMM, and prediction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from tschmm.hmm import (
     forward,
     gmr_predict,
     init_temporal_bins,
-    marginal_model,
     viterbi_labels,
 )
 from tschmm.tsc import TscModel, detect_transition_states, dilate_mask, fit, predict
@@ -209,16 +209,27 @@ def test_fit_and_detect_check_their_inputs_up_front():
             call(base, short, w=2)
     # one demo falls back before any EM runs; the checks come first all the same
     for demos in (feats[:1], feats):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="max_iter must be int >= 1, got 0"):
             fit(base, demos, max_iter=0)
-        for bad in ({"eps": -1.0}, {"tol": -1.0}):
-            with pytest.raises(ValueError, match="tol and eps must be non-negative"):
-                fit(base, demos, **bad)
+        for name in ("eps", "tol"):
+            with pytest.raises(ValueError, match=f"{name} must be float >= 0, got -1.0"):
+                fit(base, demos, **{name: -1.0})
 
 
 def test_fit_validates_num_states():
     with pytest.raises(ValueError, match="num_states"):
         fit(_excursion_base(), [_excursion_demo()], num_states=0)
+
+
+def test_fit_checks_argument_types():
+    for bad, message in (
+        ({"num_states": 2.5}, "num_states must be int >= 1, got 2.5"),
+        ({"num_states": True}, "num_states must be int >= 1, got True"),
+        ({"max_iter": True}, "max_iter must be int >= 1, got True"),
+        ({"tol": "x"}, "tol must be float >= 0, got 'x'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(_excursion_base(), [_excursion_demo()], **bad)
 
 
 def test_transition_states_concentrate_near_phase_boundaries():
@@ -497,7 +508,7 @@ def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
     assert factored == [(human, human)] * states
 
 
-def test_predict_gate_and_blend_match_the_reference(trained_kind):
+def test_predict_gate_matches_the_reference(trained_kind):
     model, held_out = trained_kind
     base, trans = _hmm_params(model.base), _hmm_params(model.transition)
     human_idx = list(model.base.split.human_idx)
@@ -527,10 +538,16 @@ def test_viterbi_labels_are_the_forward_argmax(criterion6_split):
             assert np.array_equal(labels, np.argmax(forward(base, frames, dims).h, axis=1))
 
 
+def _marginal_model(model, dims):
+    """The model's marginal on `dims` built as a sub-model."""
+    emissions = tuple(marginalize(g, dims) for g in model.emissions)
+    return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
+
+
 def _marginal_model_labels(base, seqs, dims):
     """Filtered labels by the route that built the marginal on `dims` as a
     sub-model and scored it through the public log density."""
-    sub = marginal_model(base, dims)
+    sub = _marginal_model(base, dims)
     lengths = np.array([len(f) for f in seqs])
     log_b = np.column_stack([log_density(np.vstack(seqs), g) for g in sub.emissions])
     a_hat = hmm._forward_backward(sub.priors, sub.transitions, log_b, lengths).a_hat
@@ -547,7 +564,7 @@ def test_human_labels_match_the_marginal_model_route(criterion6_split):
     want = _marginal_model_labels(base, seqs, human_idx)
     got = hmm._filtered_labels(base, seqs, human_idx)
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-    sub = marginal_model(base, human_idx)
+    sub = _marginal_model(base, human_idx)
     for frames in seqs:
         assert np.array_equal(forward(base, frames, human_idx).h, forward(sub, frames).h)
         assert np.array_equal(viterbi_labels(base, frames, human_idx),
@@ -557,14 +574,12 @@ def test_human_labels_match_the_marginal_model_route(criterion6_split):
 def test_labelling_on_a_dims_subset_builds_no_sub_model(criterion6_split, monkeypatch):
     base, feats, held_out = criterion6_split
     built = []
-    for module in (gaussian, hmm):
-        original = module.marginalize
 
-        def counted(*args, _original=original):
-            built.append("marginalize")
-            return _original(*args)
+    def counted(*args, _original=gaussian.marginalize):
+        built.append("marginalize")
+        return _original(*args)
 
-        monkeypatch.setattr(module, "marginalize", counted)
+    monkeypatch.setattr(gaussian, "marginalize", counted)
     for cls in (HmmModel, GaussianState):
         original = cls.__post_init__
 
