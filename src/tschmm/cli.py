@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data, tsc
-from .data import SYNTH_KINDS, build_features, load_csv, save_csv, synth_generate
-from .evaluation import ExperimentConfig, render_csv, render_table, run_experiment
+from .data import SYNTH_KINDS, _check_arg, build_features, load_csv, save_csv, synth_generate
+from .evaluation import ExperimentConfig, _config_rule, render_csv, render_table, run_experiment
 from .hmm import (TrainingError, _check_split, _demo_frames, _human_frames, baum_welch,
                   init_temporal_bins)
 from .model_io import load_model, save_model
@@ -31,42 +31,35 @@ class _DimensionMismatch(ValueError):
     """A model and its data disagree on the feature width (exit 4)."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _number(name: str, kind: str, least: int):
+    """An argparse type checked by the library's rule, whose message names `name`."""
+    def parse(text: str):
+        value = (int if kind == "int" else float)(text)
+        try:
+            _check_arg(name, value, kind, least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = kind  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
-    return value
-
-
-def _config_flag(p: argparse.ArgumentParser, flag: str, field: str, kind, text: str) -> None:
-    """A flag stored under, and defaulting to, the ExperimentConfig `field`;
-    usage still names its value after the flag."""
-    p.add_argument(flag, dest=field, type=kind, default=getattr(ExperimentConfig(), field),
-                   metavar=flag[2:].replace("-", "_").upper(),
+def _config_flag(p: argparse.ArgumentParser, flag: str, field: str, text: str) -> None:
+    """A flag stored under, defaulting to and checked like the ExperimentConfig
+    `field`; usage still names its value after the flag."""
+    metavar = flag[2:].replace("-", "_").upper()
+    p.add_argument(flag, dest=field, type=_number(metavar, *_config_rule(field)),
+                   default=getattr(ExperimentConfig(), field), metavar=metavar,
                    help=f"{text} (default %(default)s)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _config_flag(p, "--states", "base_states", _positive_int, "base HMM states")
-    _config_flag(p, "--tsc-states", "tsc_states", _positive_int, "transition HMM states")
-    _config_flag(p, "--reg", "reg_eps", _nonneg_float, "covariance regularization")
-    _config_flag(p, "--max-iter", "max_iter", _positive_int, "EM iteration cap")
-    _config_flag(p, "--tol", "tol", _nonneg_float, "EM convergence threshold")
-    _config_flag(p, "--window", "window", _nonneg_int, "frames marked on each side of a mismatch")
+    _config_flag(p, "--states", "base_states", "base HMM states")
+    _config_flag(p, "--tsc-states", "tsc_states", "transition HMM states")
+    _config_flag(p, "--reg", "reg_eps", "covariance regularization")
+    _config_flag(p, "--max-iter", "max_iter", "EM iteration cap")
+    _config_flag(p, "--tol", "tol", "EM convergence threshold")
+    _config_flag(p, "--window", "window", "frames marked on each side of a mismatch")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic interaction dataset")
     p.add_argument("--kind", choices=SYNTH_KINDS, required=True)
-    p.add_argument("--n", type=_positive_int, default=30, help="demos (default 30)")
-    p.add_argument("--noise", type=_nonneg_float, default=0.005,
+    p.add_argument("--n", type=_number("N", "int", 1), default=30, help="demos (default 30)")
+    p.add_argument("--noise", type=_number("NOISE", "float", 0), default=0.005,
                    help="measurement noise sigma in meters (default 0.005)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number("SEED", "int", 0), default=0)
     p.add_argument("--out", required=True, help="dataset CSV path")
     p.set_defaults(func=cmd_synth)
 
@@ -102,15 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="segmentation CSV path")
-    _config_flag(p, "--window", "window", _nonneg_int,
-                 "dilation window when the model file has none")
+    _config_flag(p, "--window", "window", "dilation window when the model file has none")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="run the batched multi-seed experiment")
     p.add_argument("--data", required=True)
     _add_train_flags(p)
-    _config_flag(p, "--batch", "batch_size", _positive_int, "training demos per seed")
-    _config_flag(p, "--seeds", "n_seeds", _positive_int, "number of seeds")
+    _config_flag(p, "--batch", "batch_size", "training demos per seed")
+    _config_flag(p, "--seeds", "n_seeds", "number of seeds")
     p.add_argument("--out", help="report CSV path (optional)")
     p.set_defaults(func=cmd_eval)
 
@@ -223,7 +215,11 @@ def cmd_eval(args) -> int:
     cfg = ExperimentConfig(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     )
-    report = run_experiment(ds, cfg)
+    try:
+        report = run_experiment(ds, cfg)
+    except ValueError as exc:
+        # the config is valid by now, so the dataset is at fault
+        raise ValueError(f"{args.data}: {exc}") from None
     print(render_table(report), end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

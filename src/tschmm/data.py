@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -70,6 +71,14 @@ class DimensionSplit:
         human = tuple(p for p, d in enumerate(dims) if d in set(self.human_idx))
         robot = tuple(p for p, d in enumerate(dims) if d in set(self.robot_idx))
         return DimensionSplit(human, robot)
+
+
+def _check_arg(name: str, value, kind: str, least: int) -> None:
+    """Reject `value` unless it is of `kind` ("int" or "float"), not a bool, finite and
+    >= least: the package's one rule for counts and tolerances, kept in its lowest module."""
+    cls = numbers.Integral if kind == "int" else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, cls) or not least <= value < math.inf:
+        raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
 
 
 def standard_split() -> DimensionSplit:
@@ -263,8 +272,8 @@ def _position_dims(robot_idx: Sequence[int]) -> list[int]:
 
 def sample_batch(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random split into n training demos and the remainder."""
-    if n < 1:
-        raise ValueError(f"batch size must be at least 1, got {n}")
+    _check_arg("n", n, "int", 1)
+    _check_arg("seed", seed, "int", 0)
     if n > len(ds.demos):
         raise ValueError(f"requested batch of {n} from {len(ds.demos)} demos")
     rng = np.random.default_rng(seed)
@@ -398,10 +407,9 @@ def synth_generate(
     """
     if kind not in _ARCHETYPES:
         raise ValueError(f"unknown interaction kind {kind!r}; choose from {SYNTH_KINDS}")
-    if n_demos < 1:
-        raise ValueError("n_demos must be at least 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    _check_arg("n_demos", n_demos, "int", 1)
+    _check_arg("noise_sigma", noise_sigma, "float", 0)
+    _check_arg("seed", seed, "int", 0)
 
     rng = np.random.default_rng(seed)
     demos = []

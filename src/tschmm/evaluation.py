@@ -15,8 +15,9 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import tsc
-from .data import Dataset, FeatureSequence, _position_dims, build_features, sample_batch
-from .hmm import TrainingError, _check_arg, baum_welch, gmr_predict, init_temporal_bins
+from .data import (Dataset, FeatureSequence, _check_arg, _position_dims, build_features,
+                   sample_batch)
+from .hmm import TrainingError, baum_welch, gmr_predict, init_temporal_bins
 
 __all__ = [
     "ExperimentConfig",
@@ -47,8 +48,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            least = 0 if f.name in ("reg_eps", "tol", "window") else 1
-            _check_arg(f.name, getattr(self, f.name), f.type, least)
+            _check_arg(f.name, getattr(self, f.name), *_config_rule(f.name))
+
+
+def _config_rule(name: str) -> tuple[str, int]:
+    """Kind and least value of the ExperimentConfig field `name`."""
+    return ExperimentConfig.__annotations__[name], 0 if name in ("reg_eps", "tol", "window") else 1
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ recursion never underflows even for long, high-dimensional sequences.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import DimensionSplit, FeatureSequence
+from .data import DimensionSplit, FeatureSequence, _check_arg
 from .gaussian import (
     GaussianState,
     _check_index_list,
@@ -147,13 +146,6 @@ def _demo_frames(demos: Sequence, dim: int) -> list[np.ndarray]:
         if seq.shape[1] != dim:
             raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {dim}")
     return seqs
-
-
-def _check_arg(name: str, value, kind: str, least: int) -> None:
-    """Reject `value` unless it is of `kind` ("int" or "float"), not a bool, and >= least."""
-    cls = numbers.Integral if kind == "int" else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, cls) or not value >= least:
-        raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
 
 
 def _regularize(cov: np.ndarray, eps: float) -> np.ndarray:

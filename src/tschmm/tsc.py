@@ -12,17 +12,15 @@ model predicts exactly as its base HMM does.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSequence
+from .data import FeatureSequence, _check_arg
 from .hmm import (
     HmmModel,
     TrainingError,
-    _check_arg,
     _check_em_args,
     _check_split,
     _demo_frames,
@@ -50,8 +48,8 @@ class TscModel:
     """Base HMM plus the transition HMM trained on windowed mismatch frames.
 
     transition is None when too few transition samples existed to train the
-    second model (a fallback model); predictions then equal the base
-    model's. window is the dilation that segmentation applies to mismatches.
+    second model (a fallback model); predictions then equal the base model's.
+    window, the dilation that segmentation applies to mismatches, is an int.
     """
 
     base: HmmModel
@@ -59,7 +57,8 @@ class TscModel:
     window: int
 
     def __post_init__(self):
-        object.__setattr__(self, "window", _window(self.window))
+        _check_arg("window", self.window, "int", 0)
+        object.__setattr__(self, "window", int(self.window))
         if self.transition is not None:
             if self.transition.dim != self.base.dim:
                 raise ValueError(
@@ -75,16 +74,10 @@ class TscModel:
         return self.transition is None
 
 
-def _window(w) -> int:
-    """w as an int, if it is a non-negative integer of any type but bool."""
-    if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 0:
-        raise ValueError("window must be a non-negative integer")
-    return int(w)
-
-
 def dilate_mask(mask, w: int) -> np.ndarray:
     """Widen every true entry by w frames on each side, clipped to bounds."""
-    w = _window(w)
+    _check_arg("window", w, "int", 0)
+    w = int(w)
     mask = np.asarray(mask, dtype=bool)
     if w == 0 or mask.size == 0:
         return mask.copy()

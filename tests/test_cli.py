@@ -399,7 +399,7 @@ def _set_split(hmm_doc, human_idx, robot_idx):
         (lambda m: m["base"]["emissions"][1]["cov"][0].__setitem__(1, 1.0),
          r"model\.base\.emissions\[1\]: cov must be symmetric to within 1e-12"),
         (lambda m: m.update(window=-1),
-         r"model: window must be a non-negative integer"),
+         r"model: window must be int >= 0, got -1"),
         (lambda m: _set_split(m["base"], [0, 1, 2, 3, 4, 99], list(range(6, 12))),
          r"model\.base\.split: human_idx and robot_idx must cover 0\.\.D-1"),
         (lambda m: m["base"]["priors"].__setitem__(0, m["base"]["priors"][0] + 0.5),
@@ -456,6 +456,51 @@ def test_invalid_flag_value_exits_two(workdir, data_csv):
         run_cli("train", "--data", str(data_csv), "--tsc-states", "0",
                 "--out", str(workdir / "m.json"))
     assert exc.value.code == 2
+
+
+# every numeric flag: (command, flag, kind, least)
+NUMERIC_FLAGS = [
+    ("synth", "--n", "int", 1), ("synth", "--noise", "float", 0), ("synth", "--seed", "int", 0),
+    *[(command, flag, kind, least) for command in ("train", "eval")
+      for flag, kind, least in [("--states", "int", 1), ("--tsc-states", "int", 1),
+                                ("--reg", "float", 0), ("--max-iter", "int", 1),
+                                ("--tol", "float", 0), ("--window", "int", 0)]],
+    ("segment", "--window", "int", 0),
+    ("eval", "--batch", "int", 1), ("eval", "--seeds", "int", 1),
+]
+
+# refused texts by kind, each with its value as the rule's message shows
+# it, or None where the text is no number of that kind
+REFUSED_TEXTS = {"int": {"nan": None, "inf": None, "-1": "-1", "2.5": None, "x": None},
+                 "float": {"nan": "nan", "inf": "inf", "-1": "-1.0", "x": None}}
+
+
+@pytest.mark.parametrize("command, flag, kind, least", NUMERIC_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, *_ in NUMERIC_FLAGS])
+def test_numeric_flag_refuses_nan_inf_and_out_of_range_values(tmp_path, command, flag, kind,
+                                                              least):
+    required = {"synth": ["--kind", "handshake"], "train": ["--data", "d.csv"],
+                "segment": ["--model", "m.json", "--data", "d.csv"],
+                "eval": ["--data", "d.csv"]}[command]
+    metavar = flag[2:].replace("-", "_").upper()
+    out = tmp_path / "out.csv"
+    for text, shown in REFUSED_TEXTS[kind].items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, text, "--out", str(out)])
+        message = (f"{metavar} must be {kind} >= {least}, got {shown}" if shown
+                   else f"invalid {kind} value: {text!r}")
+        assert exc.value.code == 2
+        assert err.getvalue().startswith(f"usage: tschmm {command} "), err.getvalue()
+        assert err.getvalue().endswith(
+            f"tschmm {command}: error: argument {flag}: {message}\n"), err.getvalue()
+        assert not out.exists()
+
+
+def test_eval_names_the_data_file_when_the_batch_exceeds_it(workdir, data_csv):
+    rc, _, err = run_cli("eval", "--data", str(data_csv), "--batch", "7", "--seeds", "1")
+    assert rc == 2
+    assert err == f"error: {data_csv}: requested batch of 7 from 6 demos\n"
 
 
 def test_unwritable_output_exits_two(workdir):
@@ -552,14 +597,14 @@ def _overflowing_positions(text: str) -> str:
         # the overflow must raise, not warn: a RuntimeWarning fails the test
         *[(command, "data", _overflowing_positions,
            r"position difference at frame 2 overflows")
-          for command in ("train", "predict", "segment")],
+          for command in ("train", "predict", "segment", "eval")],
     ],
     ids=["oversize-csv-field", "csv-not-utf8", "huge-int-prior", "huge-int-mean",
          "truncated-model", "model-not-utf8", "deeply-nested-model",
          "predict-no-human-dims", "predict-no-robot-dims",
          "segment-no-human-dims", "segment-no-robot-dims",
          "train-overflowing-positions", "predict-overflowing-positions",
-         "segment-overflowing-positions"],
+         "segment-overflowing-positions", "eval-overflowing-positions"],
 )
 def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, command,
                                                    kind, mangle, message):
@@ -572,7 +617,8 @@ def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, co
     paths = {"data": data_csv, "model": trained[0], kind: bad}
     argv = {"train": ["--data", paths["data"]],
             "predict": ["--model", paths["model"], "--data", paths["data"]],
-            "segment": ["--model", paths["model"], "--data", paths["data"]]}[command]
+            "segment": ["--model", paths["model"], "--data", paths["data"]],
+            "eval": ["--data", paths["data"], "--batch", "2", "--seeds", "1"]}[command]
     rc, _, err = run_cli(command, *map(str, argv), "--out", str(workdir / "nope.out"))
     assert rc == 2, err
     assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err), err

@@ -1,9 +1,14 @@
 """Tests for trajectory ingestion, features, batching, and the generator."""
 
+import math
+import re
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from tschmm import data
+from tschmm import data, tsc
 from tschmm.data import (
     CSV_COLUMNS,
     Demonstration,
@@ -17,6 +22,8 @@ from tschmm.data import (
     standard_split,
     synth_generate,
 )
+from tschmm.evaluation import ExperimentConfig
+from tschmm.hmm import baum_welch, init_temporal_bins
 
 
 def _tiny_demo():
@@ -234,7 +241,7 @@ def test_sample_batch_rejects_oversized_batch():
 @pytest.mark.parametrize("n", [0, -1])
 def test_sample_batch_rejects_an_empty_or_negative_batch(n):
     ds, _ = synth_generate("handshake", n_demos=5, noise_sigma=0.0, seed=0)
-    with pytest.raises(ValueError, match=f"batch size must be at least 1, got {n}"):
+    with pytest.raises(ValueError, match=f"^n must be int >= 1, got {n}$"):
         sample_batch(ds, n, seed=0)
 
 
@@ -298,3 +305,55 @@ def test_synth_noise_perturbs_trajectories():
     clean, _ = synth_generate("handshake", n_demos=2, noise_sigma=0.0, seed=11)
     noisy, _ = synth_generate("handshake", n_demos=2, noise_sigma=0.01, seed=11)
     assert not np.allclose(clean.demos[0].human_pos, noisy.demos[0].human_pos)
+
+
+# --- the rule for counts and tolerances --------------------------------------
+
+@pytest.fixture(scope="module")
+def small():
+    """A 3-demo dataset, its features and a 2-state HMM initialized on them."""
+    ds, _ = synth_generate("handshake", n_demos=3, noise_sigma=0.005, seed=0)
+    feats = [build_features(d) for d in ds.demos]
+    return SimpleNamespace(ds=ds, feats=feats, base=init_temporal_bins(feats, 2, 1e-2))
+
+
+# (entry point, argument as messages name it, kind, least, call with the value)
+RULED_ARGS = [
+    *[("ExperimentConfig", name, kind, least,
+       lambda s, v, name=name: ExperimentConfig(**{name: v}))
+      for name, kind, least in [("base_states", "int", 1), ("tsc_states", "int", 1),
+                                ("reg_eps", "float", 0), ("max_iter", "int", 1),
+                                ("tol", "float", 0), ("batch_size", "int", 1),
+                                ("n_seeds", "int", 1), ("window", "int", 0)]],
+    ("baum_welch", "max_iter", "int", 1, lambda s, v: baum_welch(s.base, s.feats, max_iter=v)),
+    ("baum_welch", "tol", "float", 0, lambda s, v: baum_welch(s.base, s.feats, tol=v)),
+    ("baum_welch", "eps", "float", 0, lambda s, v: baum_welch(s.base, s.feats, eps=v)),
+    ("init_temporal_bins", "num_states", "int", 1,
+     lambda s, v: init_temporal_bins(s.feats, v, 0.1)),
+    ("init_temporal_bins", "eps", "float", 0, lambda s, v: init_temporal_bins(s.feats, 2, v)),
+    ("tsc.fit", "num_states", "int", 1, lambda s, v: tsc.fit(s.base, s.feats, num_states=v)),
+    ("tsc.fit", "window", "int", 0, lambda s, v: tsc.fit(s.base, s.feats, w=v)),
+    ("tsc.fit", "eps", "float", 0, lambda s, v: tsc.fit(s.base, s.feats, eps=v)),
+    ("tsc.fit", "max_iter", "int", 1, lambda s, v: tsc.fit(s.base, s.feats, max_iter=v)),
+    ("tsc.fit", "tol", "float", 0, lambda s, v: tsc.fit(s.base, s.feats, tol=v)),
+    ("TscModel", "window", "int", 0, lambda s, v: tsc.TscModel(s.base, None, v)),
+    ("dilate_mask", "window", "int", 0, lambda s, v: tsc.dilate_mask([True, False], v)),
+    ("synth_generate", "n_demos", "int", 1, lambda s, v: synth_generate("handshake", v, 0.0, 0)),
+    ("synth_generate", "noise_sigma", "float", 0,
+     lambda s, v: synth_generate("handshake", 1, v, 0)),
+    ("synth_generate", "seed", "int", 0, lambda s, v: synth_generate("handshake", 1, 0.0, v)),
+    ("sample_batch", "n", "int", 1, lambda s, v: sample_batch(s.ds, v, 0)),
+    ("sample_batch", "seed", "int", 0, lambda s, v: sample_batch(s.ds, 1, v)),
+]
+
+
+@pytest.mark.parametrize("entry, name, kind, least, call", RULED_ARGS,
+                         ids=[f"{entry}-{name}" for entry, name, *_ in RULED_ARGS])
+def test_every_count_and_tolerance_is_checked_by_one_rule(small, entry, name, kind, least,
+                                                          call):
+    for value in (True, *([2.5] if kind == "int" else []), "x", math.nan, math.inf, least - 1):
+        message = f"^{name} must be {kind} >= {least}, got {re.escape(repr(value))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call(small, value)

@@ -135,6 +135,7 @@ def test_mutated_dataset_csv_is_named_or_read(clean, data):
     bad = clean / "mutated.csv"
     bad.write_bytes(_mutated_csv((clean / "data.csv").read_text(encoding="utf-8"), data))
     _check(["train", "--data", bad, *TRAIN_FLAGS, "--out", clean / "trained.json"], bad)
+    _check(["eval", "--data", bad, *TRAIN_FLAGS, "--seeds", "1", "--batch", "2"], bad)
     for command in ("predict", "segment"):
         _check([command, "--model", clean / "model.json", "--data", bad,
                 "--out", clean / f"{command}.csv"], bad)

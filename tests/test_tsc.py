@@ -101,7 +101,7 @@ def test_dilate_matches_brute_force_on_short_masks():
 
 
 def test_dilate_rejects_negative_window():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^window must be int >= 0, got -1$"):
         dilate_mask(np.zeros(3, dtype=bool), -1)
 
 
@@ -112,9 +112,10 @@ def test_window_must_be_a_non_negative_integer():
     assert dilate_mask([False, True, False, False], np.int64(1)).tolist() == [
         True, True, True, False]
     for w in (-1, True, 2.5, np.float64(2.0)):
-        with pytest.raises(ValueError, match="^window must be a non-negative integer$"):
+        message = f"^window must be int >= 0, got {re.escape(repr(w))}$"
+        with pytest.raises(ValueError, match=message):
             TscModel(base=base, transition=None, window=w)
-        with pytest.raises(ValueError, match="^window must be a non-negative integer$"):
+        with pytest.raises(ValueError, match=message):
             dilate_mask(np.zeros(3, dtype=bool), w)
 
 
