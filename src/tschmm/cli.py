@@ -159,12 +159,18 @@ def _model_and_data(args, window: int):
 
 def cmd_train(args) -> int:
     _, feats = _features(args.data)
-    init = init_temporal_bins(feats, args.base_states, args.reg_eps)
-    base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg_eps)
-    seqs = [f.frames for f in feats]
-    samples, masks = detect_transition_states(base, seqs, args.window)
-    model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
-                              args.window, args.reg_eps, args.max_iter, args.tol)
+    try:
+        init = init_temporal_bins(feats, args.base_states, args.reg_eps)
+        base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg_eps)
+        seqs = [f.frames for f in feats]
+        samples, masks = detect_transition_states(base, seqs, args.window)
+        model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
+                                  args.window, args.reg_eps, args.max_iter, args.tol)
+    except np.linalg.LinAlgError:
+        raise  # a ValueError too, but a training failure (exit 3)
+    except ValueError as exc:
+        # the flags are valid by now, so the dataset is at fault
+        raise ValueError(f"{args.data}: {exc}") from None
     save_model(model, args.out)
     print(f"log-likelihood: {history[-1]!r} after {len(history) - 1} iterations")
     print(f"transition samples: {len(samples)}")

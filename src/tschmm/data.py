@@ -421,6 +421,13 @@ def synth_generate(
         if noise_sigma > 0:
             human = human + rng.normal(0.0, noise_sigma, human.shape)
             robot = robot + rng.normal(0.0, noise_sigma, robot.shape)
-        demos.append(Demonstration(human_pos=human, robot_pos=robot, label=kind))
+        try:
+            demos.append(Demonstration(human_pos=human, robot_pos=robot, label=kind))
+        except ValueError:
+            # the archetypes fix the shapes, so only noise can make positions non-finite
+            raise ValueError(
+                f"noise_sigma {noise_sigma!r} overflows the float range: "
+                f"noisy positions reach infinity"
+            ) from None
         boundaries.append(bounds)
     return Dataset(tuple(demos), name=kind), boundaries

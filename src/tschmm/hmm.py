@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .data import DimensionSplit, FeatureSequence, _check_arg
 from .gaussian import (
+    _LOG_2PI,
     GaussianState,
     _check_index_list,
     _cholesky,
@@ -153,13 +155,42 @@ def _regularize(cov: np.ndarray, eps: float) -> np.ndarray:
     return cov + eps * np.eye(len(cov))
 
 
+def _pooled_moments(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and eps-regularized covariance of the rows of `x`. Coordinates
+    too large to square within the float range raise ValueError, not a
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = (centered.T @ centered) / len(x)
+        cov = _regularize(0.5 * (cov + cov.T), eps)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError(
+            f"the covariance of {len(x)} frames overflows the float range: "
+            f"coordinates reach {float(np.abs(x).max()):.3g}"
+        )
+    return mean, cov
+
+
 def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """(T, S) log densities of the frames under each state's marginal on
-    `dims`, read off the model with one Cholesky factor per state."""
-    return np.column_stack([
-        _log_density(frames, g.mean[dims], _cholesky(g.cov[np.ix_(dims, dims)], "the covariance"))
-        for g in model.emissions
-    ])
+    `dims`, read off the model with one Cholesky factor per state.
+
+    Each state's centred frames are multiplied by the inverse of its
+    factor: one triangular inversion of a D x D identity and one (T, D)
+    by (D, D) product, cheaper than a triangular solve against all T
+    frames. A frame's rounding may then depend on how many share the call,
+    which EM and labelling do not mind; prediction keeps the solve
+    (`_human_marginal`), which makes prefixes exact.
+    """
+    out = np.empty((len(frames), model.num_states))
+    eye = np.eye(len(dims))
+    for i, g in enumerate(model.emissions):
+        chol = _cholesky(g.cov[np.ix_(dims, dims)], "the covariance")
+        y = (frames - g.mean[dims]) @ solve_triangular(chol, eye, lower=True).T
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, i] = -0.5 * (len(dims) * _LOG_2PI + log_det + np.einsum("td,td->t", y, y))
+    return out
 
 
 def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
@@ -190,7 +221,8 @@ def _forward_backward(
 
     `log_b` holds (F, S) emission log-densities of sequences stored back to
     back, and the passes return rows in the same order; only the scaling
-    constants keep the (N, T) padded layout, which the kernel steps in.
+    constants come back padded, as an (N, T) array. Inside, the rows are
+    padded time-major, (T, N, S), so each step touches one contiguous block.
     Each frame is shifted by its largest log density before exponentiating;
     the forward variables are normalized per step and the log of each
     normalizer plus the shift is that step's scaling constant, so a
@@ -206,55 +238,65 @@ def _forward_backward(
     """
     valid = np.arange(lengths.max()) < lengths[:, None]
     n, t_max, s = *valid.shape, log_b.shape[1]
+    # the kernel steps time-major: frame t of sequence k is row t * n + k
+    pos = np.arange(t_max * n).reshape(t_max, n).T[valid]
     # the padding is zero and so can fail none of the checks below
-    padded = np.zeros((n, t_max, s))
-    padded[valid] = log_b
-    shift = padded.max(axis=2)
+    b_hat = np.zeros((t_max * n, s))
+    b_hat[pos] = log_b
+    shift = b_hat.max(axis=1)
     if not np.isfinite(shift).all():
-        bad = ~np.isfinite(shift)
+        bad = ~np.isfinite(shift.reshape(t_max, n).T)
         raise TrainingError(f"all states have zero emission likelihood at {_failed_frame(bad)}")
-    # time-major, so each step reads and writes contiguous (N, S) blocks
-    b_hat = np.exp(padded - shift[:, :, None]).transpose(1, 0, 2).copy()
+    np.subtract(b_hat, shift[:, None], out=b_hat)
+    np.exp(b_hat, out=b_hat)
+    # each step reads and writes contiguous (N, 1, S) blocks: a stack of
+    # N one-row matrices, as the vector-matrix products below take them
+    b_hat = b_hat.reshape(t_max, n, 1, s)
 
-    a_hat = np.empty((t_max, n, s))
-    total = np.empty((t_max, n))
+    a_hat = np.empty((t_max, n, 1, s))
+    total = np.empty((t_max, n, 1, 1))
+    a = np.empty((n, 1, s))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = priors * b_hat[0]
+        np.multiply(priors, b_hat[0], out=a)
         for t in range(t_max):
             if t:
-                a = np.matmul(a_hat[t - 1, :, None, :], trans)[:, 0]
+                np.matmul(a_hat[t - 1], trans, out=a)
                 a *= b_hat[t]
-            total[t] = a.sum(axis=1)
-            np.divide(a, total[t, :, None], out=a_hat[t])
-        total = total.T
+            np.add.reduce(a, axis=2, keepdims=True, out=total[t])
+            np.divide(a, total[t], out=a_hat[t])
+        total = total.reshape(t_max, n)
         ok = np.isfinite(total) & (total > 0.0)
         if not ok.all():
-            raise TrainingError(f"forward mass vanished at {_failed_frame(~ok)}")
-        log_c = (np.log(total) + shift) * valid
+            raise TrainingError(f"forward mass vanished at {_failed_frame(~ok.T)}")
+        log_c = (np.log(total) + shift.reshape(t_max, n)).T * valid
 
         beta_hat = None
         if backward:
+            b_flat = b_hat.reshape(t_max, n, s)
             beta_hat = np.empty((t_max, n, s))
             beta_hat[-1] = 1.0
             # the sequences whose last frame is t, keyed by t
             ends: dict[int, list[int]] = {}
             for k, length in enumerate(lengths.tolist()):
                 ends.setdefault(length - 1, []).append(k)
-            norm = np.ones((t_max, n))
+            norm = np.ones((t_max, n, 1))
+            c = np.empty((n, s))
             for t in range(t_max - 2, -1, -1):
-                v = (b_hat[t + 1] * beta_hat[t + 1]) @ trans.T
-                norm[t] = v.sum(axis=1)
-                np.divide(v, norm[t, :, None], out=beta_hat[t])
+                np.multiply(b_flat[t + 1], beta_hat[t + 1], out=c)
+                np.matmul(c, trans.T, out=beta_hat[t])
+                np.add.reduce(beta_hat[t], axis=1, keepdims=True, out=norm[t])
+                beta_hat[t] /= norm[t]
                 if t in ends:
                     beta_hat[t, ends[t]] = 1.0
-            ok = np.isfinite(norm.T) & (norm.T > 0.0)
+            norm = norm.reshape(t_max, n)
+            ok = np.isfinite(norm) & (norm > 0.0)
             if not ok.all():
                 raise TrainingError(
-                    f"backward mass vanished at {_failed_frame(~ok, backward=True)}"
+                    f"backward mass vanished at {_failed_frame(~ok.T, backward=True)}"
                 )
-            beta_hat = beta_hat.transpose(1, 0, 2)[valid]
+            beta_hat = beta_hat.reshape(t_max * n, s)[pos]
     return _Passes(
-        a_hat.transpose(1, 0, 2)[valid], log_c, b_hat.transpose(1, 0, 2)[valid], beta_hat
+        a_hat.reshape(t_max * n, s)[pos], log_c, b_hat.reshape(t_max * n, s)[pos], beta_hat
     )
 
 
@@ -323,12 +365,7 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
 
     emissions = []
     for chunks in bins:
-        x = np.vstack(chunks)
-        mean = x.mean(axis=0)
-        centered = x - mean
-        cov = (centered.T @ centered) / len(x)
-        cov = _regularize(0.5 * (cov + cov.T), eps)
-        emissions.append(GaussianState(mean, cov))
+        emissions.append(GaussianState(*_pooled_moments(np.vstack(chunks), eps)))
 
     priors = np.full(num_states, 1.0 / num_states)
     trans = np.full((num_states, num_states), 1.0 / num_states)
@@ -343,8 +380,17 @@ class _EStats(NamedTuple):
     gamma: np.ndarray  # (F, S) state posteriors of the pooled frames
 
 
-def _e_step(model: HmmModel, pooled: np.ndarray, lengths: np.ndarray) -> tuple[_EStats, float]:
-    """Posterior statistics of sequences stored back to back in `pooled`."""
+def _pairs(lengths: np.ndarray) -> np.ndarray:
+    """(F - 1,) mask of the pooled rows whose successor belongs to the same
+    sequence, for sequences of `lengths` stored back to back."""
+    return np.diff(np.repeat(np.arange(len(lengths)), lengths)) == 0
+
+
+def _e_step(
+    model: HmmModel, pooled: np.ndarray, lengths: np.ndarray, pair: np.ndarray
+) -> tuple[_EStats, float]:
+    """Posterior statistics of sequences stored back to back in `pooled`;
+    `pair` is `_pairs(lengths)`."""
     trans = model.transitions
     # one Cholesky per state for the whole batch
     log_b = _log_emissions(model, pooled, np.arange(model.dim))
@@ -360,10 +406,9 @@ def _e_step(model: HmmModel, pooled: np.ndarray, lengths: np.ndarray) -> tuple[_
     # pairwise posteriors a_t(i) A(i, j) c_t+1(j) / Z_t, each summing to 1
     # over (i, j), accumulated without forming the (F-1, S, S) tensor; a
     # row pairs with the next one when both belong to the same sequence
-    pair = np.diff(np.repeat(np.arange(len(lengths)), lengths)) == 0
     a_prev = a_hat[:-1][pair]
     c_next = (b_hat * beta_hat)[1:][pair]
-    slice_tot = np.einsum("fi,ij,fj->f", a_prev, trans, c_next)
+    slice_tot = ((a_prev @ trans) * c_next).sum(axis=1)
     if not np.all(np.isfinite(slice_tot)) or np.any(slice_tot <= 0):
         raise TrainingError("pairwise posterior collapsed to zero mass")
     trans_acc = trans * ((a_prev / slice_tot[:, None]).T @ c_next)
@@ -443,17 +488,17 @@ def baum_welch(
 
     pooled = np.vstack(seqs)
     lengths = np.array([len(seq) for seq in seqs])
-    centered = pooled - pooled.mean(axis=0)
-    global_cov = (centered.T @ centered) / len(pooled)
-    global_cov = _regularize(0.5 * (global_cov + global_cov.T), eps)
-    global_cov.setflags(write=False)
+    pair = _pairs(lengths)
 
     current = model
-    stats, ll = _e_step(current, pooled, lengths)
+    stats, ll = _e_step(current, pooled, lengths, pair)
     history = [ll]
+    # after the first E-step, which names a frame the model cannot score
+    _, global_cov = _pooled_moments(pooled, eps)
+    global_cov.setflags(write=False)
     for _ in range(max_iter):
         candidate = _m_step(current, stats, pooled, eps, global_cov)
-        new_stats, new_ll = _e_step(candidate, pooled, lengths)
+        new_stats, new_ll = _e_step(candidate, pooled, lengths, pair)
         if new_ll < ll:
             # the eps floor on covariances can push the update off the EM
             # ascent direction; keep the better previous model

@@ -113,6 +113,7 @@ def detect_transition_states(
     Returns the pooled joint observations at masked frames as an (N, D)
     array plus one dilated boolean mask per demo.
     """
+    _check_arg("window", w, "int", 0)
     seqs = _demo_frames(demos, base.dim)
     if not seqs:
         return np.zeros((0, base.dim)), []

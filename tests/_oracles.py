@@ -112,6 +112,34 @@ def e_step(priors, trans, log_bs, seqs):
     return pi_acc, trans_acc, resp, mean_acc, gammas, total_ll
 
 
+# --- emission table by triangular solve -------------------------------------
+# The package's emission table before it multiplied by each state's inverse
+# Cholesky factor: a triangular solve against all the frames, as the
+# prediction path still computes a density.
+
+
+def solve_log_density(frames, mean, cov):
+    """(T,) log densities of the (T, D) frames under N(mean, cov), solving
+    against the numpy Cholesky factor of cov."""
+    chol = np.linalg.cholesky(cov)
+    # a lone frame is solved beside a copy of itself, as log_density does
+    rhs = (frames - mean).T
+    y = solve_triangular(chol, rhs if len(frames) > 1 else rhs[:, [0, 0]], lower=True)
+    quad = np.sum(y * y, axis=0)[: len(frames)]
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (len(mean) * float(np.log(2.0 * np.pi)) + log_det + quad)
+
+
+def solve_log_emissions(means, covs, frames, dims):
+    """(T, S) log densities of the (T, len(dims)) frames under each state's
+    marginal on `dims`; means and covs are stacked (S, D) and (S, D, D)."""
+    dims = np.asarray(dims)
+    return np.column_stack([
+        solve_log_density(frames, mean[dims], cov[np.ix_(dims, dims)])
+        for mean, cov in zip(means, covs)
+    ])
+
+
 # --- per-state regression terms ---------------------------------------------
 # The package's per-state regression terms as computed before one Cholesky
 # factor of the human block served both: the marginal density factored the
@@ -124,13 +152,7 @@ def factored_twice_human_terms(mean, cov, human_idx, robot_idx, frames):
     means (T, R) of the (T, D_human) frames."""
     h, r = np.asarray(human_idx), np.asarray(robot_idx)
     s11 = cov[np.ix_(h, h)]
-    chol = np.linalg.cholesky(s11)
-    # a lone frame is solved beside a copy of itself, as log_density does
-    rhs = (frames - mean[h]).T
-    y = solve_triangular(chol, rhs if len(frames) > 1 else rhs[:, [0, 0]], lower=True)
-    quad = np.sum(y * y, axis=0)[: len(frames)]
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    log_b = -0.5 * (len(h) * float(np.log(2.0 * np.pi)) + log_det + quad)
+    log_b = solve_log_density(frames, mean[h], s11)
     gain = cho_solve(cho_factor(s11, lower=True), cov[np.ix_(h, r)]).T
     cond = np.einsum("th,rh->tr", frames, gain) + (mean[r] - gain @ mean[h])
     return log_b, cond

@@ -526,6 +526,29 @@ def test_degenerate_training_exits_three(workdir):
     assert "training failed" in err
 
 
+def test_synth_noise_that_overflows_exits_two_naming_noise_sigma(workdir):
+    out = workdir / "noise308.csv"
+    rc, _, err = run_cli("synth", "--kind", "handshake", "--n", "3", "--noise", "1e308",
+                         "--out", str(out))
+    assert rc == 2
+    assert err.startswith("error: noise_sigma 1e+308 overflows the float range"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_covariance_overflow_exits_two_naming_the_file(workdir, command):
+    # finite coordinates whose squares overflow; a RuntimeWarning fails the test
+    data = workdir / "noise200.csv"
+    assert run_cli("synth", "--kind", "handshake", "--n", "3", "--noise", "1e200",
+                   "--out", str(data))[0] == 0
+    extra = {"train": ["--out", str(workdir / "m.json")],
+             "eval": ["--batch", "2", "--seeds", "1"]}[command]
+    rc, _, err = run_cli(command, "--data", str(data), *extra)
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(data))}: the covariance of \d+ frames "
+                        r"overflows the float range: coordinates reach \d\.\d\de\+200\n", err), err
+
+
 def _raw_number(text: str, path, digits: str) -> str:
     """Model JSON text with the value at `path` under "model" written as
     the literal number `digits`."""

@@ -266,6 +266,15 @@ def test_synth_generate_validates_arguments():
         synth_generate("handshake", 1, -0.1, 0)
 
 
+def test_synth_noise_that_overflows_the_positions_names_noise_sigma():
+    # a RuntimeWarning fails the test, so the overflow must raise only
+    with pytest.raises(ValueError, match=r"^noise_sigma 1e\+308 overflows the float range"):
+        synth_generate("handshake", 2, 1e308, 0)
+    # large but representable noise still generates
+    ds, _ = synth_generate("handshake", 2, 1e300, 0)
+    assert np.isfinite(ds.demos[0].human_pos).all()
+
+
 def test_synth_boundaries_partition_each_demo():
     expected_phases = {"handshake": 3, "rocket_fistbump": 4, "parachute_fistbump": 4}
     for kind in SYNTH_KINDS:

@@ -6,10 +6,13 @@ import re
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 import _oracles
 from _oracles import brute_force_log_likelihood, random_hmm_params
-from tschmm.data import Demonstration, DimensionSplit, FeatureSequence, build_features
+from tschmm import hmm
+from tschmm.data import (SYNTH_KINDS, Demonstration, DimensionSplit, FeatureSequence,
+                         build_features, sample_batch, synth_generate)
 from tschmm.gaussian import GaussianState, marginalize
 from tschmm.hmm import (
     HmmModel,
@@ -17,6 +20,7 @@ from tschmm.hmm import (
     _e_step,
     _forward_backward,
     _log_emissions,
+    _pairs,
     baum_welch,
     forward,
     gmr_predict,
@@ -501,7 +505,7 @@ def test_kernel_e_step_matches_per_sequence_reference():
     for seed in range(5):
         model, seqs = _ragged_batch(seed, num_states=4, dim=3)
         lengths = np.array(RAGGED_LENGTHS)
-        stats, ll = _e_step(model, np.vstack(seqs), lengths)
+        stats, ll = _e_step(model, np.vstack(seqs), lengths, _pairs(lengths))
         log_bs = [_log_emissions(model, f, np.arange(model.dim)) for f in seqs]
         pi_acc, trans_acc, resp, mean_acc, gammas, want_ll = _oracles.e_step(
             model.priors, model.transitions, log_bs, seqs
@@ -565,3 +569,85 @@ def test_e_step_on_zero_likelihood_frame_raises():
         TrainingError, match="zero emission likelihood at frame 6 of sequence 4"
     ):
         baum_welch(model, seqs, max_iter=2)
+
+
+# --- emission table against the triangular solve ---------------------------------
+
+def _conditioned_cov(rng, d, cond):
+    """A random D x D covariance whose condition number is `cond`."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (q * np.geomspace(1.0, 1.0 / cond, d) * rng.uniform(0.1, 10.0)) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+def _relative_error(got, want, cov):
+    """Largest error relative to the size of the terms summed into each log
+    density: D log(2 pi), |log det| and the Mahalanobis term."""
+    d = len(cov)
+    log_det = np.linalg.slogdet(cov)[1]
+    quad = -2.0 * want - d * np.log(2.0 * np.pi) - log_det
+    return float(np.max(np.abs(got - want) / (d * np.log(2.0 * np.pi) + abs(log_det) + quad)))
+
+
+def test_emission_table_matches_the_solve_and_scipy():
+    rng = np.random.default_rng(41)
+    for d in range(1, 13):
+        for cond in (1.0, 1e3, 1e4, 1e6):
+            means = rng.normal(0.0, 3.0, size=(2, d))
+            covs = np.array([_conditioned_cov(rng, d, cond) for _ in range(2)])
+            model = _model_from_params(np.full(2, 0.5), np.full((2, 2), 0.5), means, covs)
+            subsets = [np.arange(d), np.sort(rng.choice(d, size=max(1, d // 2), replace=False))]
+            for dims in subsets:
+                for t in (1, 500):
+                    # frames spread over a few standard deviations of state 0
+                    chol = np.linalg.cholesky(covs[0][np.ix_(dims, dims)])
+                    frames = means[0, dims] + 2.0 * rng.normal(size=(t, len(dims))) @ chol.T
+                    got = _log_emissions(model, frames, dims)
+                    want = _oracles.solve_log_emissions(means, covs, frames, dims)
+                    for i in range(2):
+                        cov = covs[i][np.ix_(dims, dims)]
+                        assert _relative_error(got[:, i], want[:, i], cov) < 1e-12
+                        # scipy's eigendecomposition drifts by about 1e-11 at
+                        # condition number 1e6 (against an 80-bit Cholesky), so
+                        # it is held to 1e-12 up to 1e4 only
+                        if cond <= 1e4:
+                            ref = np.atleast_1d(
+                                multivariate_normal(means[i, dims], cov).logpdf(frames))
+                            assert _relative_error(got[:, i], ref, cov) < 1e-12
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_baum_welch_with_the_solve_table_agrees(kind, monkeypatch):
+    """Criterion 6's first split trains to the same iteration count and
+    likelihoods whichever table scores the frames."""
+    ds, _ = synth_generate(kind, n_demos=30, noise_sigma=0.005, seed=0)
+    feats = [build_features(d) for d in sample_batch(ds, 15, 0)[0].demos]
+    init = init_temporal_bins(feats, 4, 1e-2)
+    _, history = baum_welch(init, feats)
+
+    def solve_table(model, frames, dims):
+        means = np.array([g.mean for g in model.emissions])
+        covs = np.array([g.cov for g in model.emissions])
+        return _oracles.solve_log_emissions(means, covs, frames, dims)
+
+    monkeypatch.setattr(hmm, "_log_emissions", solve_table)
+    _, want = baum_welch(init, feats)
+    assert len(history) == len(want)
+    assert np.max(np.abs(np.array(history) - want) / np.abs(want)) < 1e-10
+
+
+# --- pooled covariance overflow ------------------------------------------------------
+
+def test_pooled_covariance_overflow_raises_without_a_warning():
+    rng = np.random.default_rng(5)
+    seqs = [rng.normal(0.0, 1e200, size=(12, 2)) for _ in range(3)]
+    # a RuntimeWarning fails the test, so the overflow must raise only
+    with pytest.raises(ValueError, match=r"^the covariance of 12 frames overflows the "
+                                         r"float range: coordinates reach \d\.\d\de\+200$"):
+        init_temporal_bins(seqs, 3, 1e-2)
+    # states wide enough to score frames whose squares overflow
+    wide = GaussianState([0.0, 0.0], 1e300 * np.eye(2))
+    model = HmmModel(np.full(2, 0.5), np.full((2, 2), 0.5), (wide, wide),
+                     DimensionSplit((0, 1), ()))
+    with pytest.raises(ValueError, match="^the covariance of 36 frames overflows"):
+        baum_welch(model, [s * 1e-45 for s in seqs], max_iter=1)

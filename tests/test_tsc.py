@@ -154,6 +154,24 @@ def test_detect_pools_samples_across_demos():
     assert np.array_equal(samples[6:], demos[1].frames[19:25])
 
 
+def test_window_is_checked_before_any_labelling(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=tsc._filtered_labels):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(tsc, "_filtered_labels", counted)
+    base = _excursion_base()
+    with pytest.raises(ValueError, match="^window must be int >= 0, got -1$"):
+        detect_transition_states(base, [], -1)
+    with pytest.raises(ValueError, match="^window must be int >= 0, got -1$"):
+        fit(base, [_excursion_demo(), _excursion_demo()], w=-1)
+    assert calls == []
+    fit(base, [_excursion_demo()], w=2)
+    assert len(calls) == 2  # the counter does count the joint and human passes
+
+
 # --- fit ---------------------------------------------------------------------------
 
 def test_fit_returns_fallback_without_mismatches():
