@@ -186,7 +186,12 @@ def cmd_predict(args) -> int:
     human_idx = list(model.base.split.human_idx)
     lengths = np.array([len(f) for f in feats])
     frames = _human_frames(model.base, np.vstack([f.frames for f in feats])[:, human_idx])
-    preds = np.split(tsc._predict(model, frames, lengths), np.cumsum(lengths)[:-1])
+    try:
+        rows = tsc._predict(model, frames, lengths)
+    except TrainingError as exc:
+        # e.g. a frame too far from every state to score: name the data file
+        raise TrainingError(f"{args.data}: {exc}") from None
+    preds = np.split(rows, np.cumsum(lengths)[:-1])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t",
@@ -203,7 +208,10 @@ def cmd_predict(args) -> int:
 
 def cmd_segment(args) -> int:
     model, ds, feats = _model_and_data(args, args.window)
-    labels = tsc._segmentation(model.base, _demo_frames(feats, model.base.dim), model.window)
+    try:
+        labels = tsc._segmentation(model.base, _demo_frames(feats, model.base.dim), model.window)
+    except TrainingError as exc:
+        raise TrainingError(f"{args.data}: {exc}") from None
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demo_id", "t", "label_joint", "label_human",

@@ -81,6 +81,12 @@ def _check_arg(name: str, value, kind: str, least: int) -> None:
         raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """Reject `value` unless it is a `cls`, with a message naming `name`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {cls.__name__}, got {type(value).__name__}")
+
+
 def standard_split() -> DimensionSplit:
     """The 12-dimensional layout: human dims 0-5, robot dims 6-11."""
     return DimensionSplit(tuple(range(6)), tuple(range(6, 12)))

@@ -86,7 +86,9 @@ def _log_density(pts: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndar
     """
     rhs = (pts - mean).T
     y = solve_triangular(chol, rhs if len(pts) > 1 else rhs[:, [0, 0]], lower=True)
-    quad = np.sum(y * y, axis=0)[: len(pts)]
+    # a point too far out to square has density 0, which callers report
+    with np.errstate(over="ignore"):
+        quad = np.sum(y * y, axis=0)[: len(pts)]
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (len(mean) * _LOG_2PI + log_det + quad)
 

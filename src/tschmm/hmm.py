@@ -19,6 +19,7 @@ recursion never underflows even for long, high-dimensional sequences.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -26,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .data import DimensionSplit, FeatureSequence, _check_arg
+from .data import DimensionSplit, FeatureSequence, _check_arg, _check_type
 from .gaussian import (
     _LOG_2PI,
     GaussianState,
@@ -76,7 +77,13 @@ class HmmModel:
     def __post_init__(self):
         priors = np.array(self.priors, dtype=float)
         trans = np.array(self.transitions, dtype=float)
+        if not np.iterable(self.emissions):
+            kind = type(self.emissions).__name__
+            raise ValueError(f"emissions must be a sequence of GaussianState, got {kind}")
         emissions = tuple(self.emissions)
+        for i, g in enumerate(emissions):
+            _check_type(f"emissions[{i}]", g, GaussianState)
+        _check_type("split", self.split, DimensionSplit)
         if priors.ndim != 1 or priors.size == 0:
             raise ValueError("priors must be a non-empty vector")
         s = priors.size
@@ -112,6 +119,28 @@ class HmmModel:
     @property
     def dim(self) -> int:
         return self.emissions[0].dim
+
+    @functools.cached_property
+    def _regression(self) -> tuple[_Regression, ...]:
+        """Each state's regression factors, built on first use and kept in
+        the instance `__dict__`, not as a field: EM builds a model per M-step
+        and predicts with none of them. A failed factorization is not kept,
+        so every later call fails the same way."""
+        human_idx = np.array(self.split.human_idx)
+        robot_idx = np.array(self.split.robot_idx)
+        return tuple(
+            _Regression(g.mean[human_idx], *_conditional_affine(g, human_idx, robot_idx))
+            for g in self.emissions
+        )
+
+
+class _Regression(NamedTuple):
+    """One state's factors for regression on the human dims."""
+
+    mean: np.ndarray  # the human block of the mean
+    chol: np.ndarray  # lower Cholesky factor of the human block of the covariance
+    gain: np.ndarray  # (R, D_human): the conditional robot mean is gain @ x + offset
+    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -258,12 +287,15 @@ def _forward_backward(
     a = np.empty((n, 1, s))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(priors, b_hat[0], out=a)
-        for t in range(t_max):
-            if t:
-                np.matmul(a_hat[t - 1], trans, out=a)
-                a *= b_hat[t]
-            np.add.reduce(a, axis=2, keepdims=True, out=total[t])
-            np.divide(a, total[t], out=a_hat[t])
+        # stepping over per-frame views spares indexing by t on every step
+        a_prev = None
+        for a_t, b_t, total_t in zip(a_hat, b_hat, total):
+            if a_prev is not None:
+                np.matmul(a_prev, trans, out=a)
+                a *= b_t
+            np.add.reduce(a, axis=2, keepdims=True, out=total_t)
+            np.divide(a, total_t, out=a_t)
+            a_prev = a_t
         total = total.reshape(t_max, n)
         ok = np.isfinite(total) & (total > 0.0)
         if not ok.all():
@@ -281,13 +313,17 @@ def _forward_backward(
                 ends.setdefault(length - 1, []).append(k)
             norm = np.ones((t_max, n, 1))
             c = np.empty((n, s))
-            for t in range(t_max - 2, -1, -1):
-                np.multiply(b_flat[t + 1], beta_hat[t + 1], out=c)
-                np.matmul(c, trans.T, out=beta_hat[t])
-                np.add.reduce(beta_hat[t], axis=1, keepdims=True, out=norm[t])
-                beta_hat[t] /= norm[t]
+            trans_t = trans.T
+            # frame t reads frame t + 1, both as views, backward in time
+            steps = zip(range(t_max - 2, -1, -1), b_flat[:0:-1], beta_hat[:0:-1],
+                        beta_hat[-2::-1], norm[-2::-1])
+            for t, b_next, beta_next, beta_t, norm_t in steps:
+                np.multiply(b_next, beta_next, out=c)
+                np.matmul(c, trans_t, out=beta_t)
+                np.add.reduce(beta_t, axis=1, keepdims=True, out=norm_t)
+                beta_t /= norm_t
                 if t in ends:
-                    beta_hat[t, ends[t]] = 1.0
+                    beta_t[ends[t]] = 1.0
             norm = norm.reshape(t_max, n)
             ok = np.isfinite(norm) & (norm > 0.0)
             if not ok.all():
@@ -540,20 +576,18 @@ def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np
     (T, S), and its conditional mean of the robot dims given them, (T, S, R).
 
     One Cholesky factor of each state's human block serves both: the
-    density solves against it and the regression gain is built from it.
+    density solves against it and the regression gain is built from it,
+    and the model keeps the factors for every later call (`_regression`).
     The conditional mean is affine in the frame. It is applied by einsum,
     not by a matrix product, because BLAS takes another path for a single
     frame whose rounding differs: every row here depends on its own frame
     only, so predicting on a prefix gives the first rows of predicting on
     the whole sequence, bit for bit.
     """
-    human_idx = np.array(model.split.human_idx)
-    robot_idx = np.array(model.split.robot_idx)
     log_b = np.empty((len(frames), model.num_states))
-    cond = np.empty((len(frames), model.num_states, len(robot_idx)))
-    for i, g in enumerate(model.emissions):
-        chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
-        log_b[:, i] = _log_density(frames, g.mean[human_idx], chol)
+    cond = np.empty((len(frames), model.num_states, len(model.split.robot_idx)))
+    for i, (mean, chol, gain, offset) in enumerate(model._regression):
+        log_b[:, i] = _log_density(frames, mean, chol)
         cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
     return log_b, cond
 
@@ -577,6 +611,7 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     marginal; the output is the responsibility-weighted sum of each state's
     conditional mean given the frame's human observation.
     """
+    _check_type("model", model, HmmModel)
     frames = _human_frames(model, human_obs)
     rows, _, _ = _gmr(model, frames, np.array([len(frames)]))
     return FeatureSequence(rows, model.split.restrict(model.split.robot_idx))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSequence, _check_arg
+from .data import FeatureSequence, _check_arg, _check_type
 from .hmm import (
     HmmModel,
     TrainingError,
@@ -57,9 +57,11 @@ class TscModel:
     window: int
 
     def __post_init__(self):
+        _check_type("base", self.base, HmmModel)
         _check_arg("window", self.window, "int", 0)
         object.__setattr__(self, "window", int(self.window))
         if self.transition is not None:
+            _check_type("transition", self.transition, HmmModel)
             if self.transition.dim != self.base.dim:
                 raise ValueError(
                     f"transition HMM dimension {self.transition.dim} "
@@ -198,6 +200,7 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     model without a transition HMM, reproduces the base prediction
     (`gmr_predict`) exactly.
     """
+    _check_type("model", model, TscModel)
     base = model.base
     frames = _human_frames(base, human_obs)
     out = _predict(model, frames, np.array([len(frames)]))

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface.
 
 Commands run in-process through main(argv), with stdout captured by
-redirection so the tests do not depend on pytest's capture mode.
+redirection so the tests do not depend on pytest's capture mode. A test of
+how a command behaves when every warning is an error runs it in a child
+interpreter under `-W error`.
 """
 
 import contextlib
@@ -9,7 +11,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,6 +651,37 @@ def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, co
     rc, _, err = run_cli(command, *map(str, argv), "--out", str(workdir / "nope.out"))
     assert rc == 2, err
     assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err), err
+
+
+def _far_out_positions(text: str) -> str:
+    """Dataset CSV text whose hx alternates between 1e160 and 3e160: finite,
+    with finite differences, but too far from every state to score."""
+    lines = text.splitlines(keepends=True)
+    for k in range(1, len(lines)):
+        fields = lines[k].split(",")
+        fields[2] = "1e160" if int(fields[1]) % 2 == 0 else "3e160"
+        lines[k] = ",".join(fields)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command", ["predict", "segment"])
+def test_far_out_frames_exit_three_naming_the_file(workdir, data_csv, trained, command):
+    bad = workdir / "far.csv"
+    bad.write_text(_far_out_positions(data_csv.read_text(encoding="utf-8")), encoding="utf-8")
+    argv = [command, "--model", str(trained[0]), "--data", str(bad),
+            "--out", str(workdir / "far.out")]
+    want = (f"training failed: {bad}: all states have zero emission likelihood "
+            "at frame 0 of sequence 0\n")
+    # in process, where a RuntimeWarning fails the test, and with every warning an error
+    rc, _, err = run_cli(*argv)
+    assert (rc, err) == (3, want)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tschmm", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, want)
+    assert not (workdir / "far.out").exists()
 
 
 def test_segment_window_beyond_every_demo_marks_whole_demos(workdir, data_csv, trained):

@@ -1,5 +1,6 @@
 """Tests for the Gaussian-emission HMM: forward pass, EM, marginals, GMR."""
 
+import dataclasses
 import logging
 import re
 
@@ -10,7 +11,7 @@ from scipy.stats import multivariate_normal
 
 import _oracles
 from _oracles import brute_force_log_likelihood, random_hmm_params
-from tschmm import hmm
+from tschmm import hmm, tsc
 from tschmm.data import (SYNTH_KINDS, Demonstration, DimensionSplit, FeatureSequence,
                          build_features, sample_batch, synth_generate)
 from tschmm.gaussian import GaussianState, marginalize
@@ -401,6 +402,42 @@ def test_gmr_singular_human_block_raises():
     with pytest.raises(np.linalg.LinAlgError,
                        match="Cholesky factorization of the observed-block covariance failed"):
         gmr_predict(model, np.zeros((3, 1)))
+
+
+def test_a_failed_factorization_is_not_kept():
+    model = HmmModel(
+        priors=np.array([1.0]),
+        transitions=np.array([[1.0]]),
+        emissions=(GaussianState(np.zeros(2), np.array([[0.0, 0.0], [0.0, 1.0]])),),
+        split=DimensionSplit((0,), (1,)),
+    )
+    messages = []
+    for call, target in ((gmr_predict, model), (tsc.predict, tsc.TscModel(model, None, 0))) * 2:
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            call(target, np.zeros((3, 1)))
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 4
+    assert "Cholesky factorization of the observed-block covariance failed" in messages[0]
+
+
+def test_a_replaced_model_builds_its_own_factors():
+    model = HmmModel(
+        priors=np.array([0.5, 0.5]),
+        transitions=np.array([[0.9, 0.1], [0.1, 0.9]]),
+        emissions=(
+            GaussianState([0.0, 5.0], [[1.0, 0.5], [0.5, 1.0]]),
+            GaussianState([3.0, -7.0], np.eye(2)),
+        ),
+        split=DimensionSplit((0,), (1,)),
+    )
+    obs = np.linspace(-1.0, 4.0, 9)[:, None]
+    before = gmr_predict(model, obs).frames
+    emissions = (GaussianState([1.0, 2.0], [[2.0, -0.5], [-0.5, 1.0]]), model.emissions[1])
+    replaced = dataclasses.replace(model, emissions=emissions)
+    fresh = HmmModel(model.priors, model.transitions, emissions, model.split)
+    assert np.array_equal(gmr_predict(replaced, obs).frames, gmr_predict(fresh, obs).frames)
+    assert not np.array_equal(gmr_predict(replaced, obs).frames, before)
+    assert np.array_equal(gmr_predict(model, obs).frames, before)
 
 
 def test_gmr_follows_the_dominant_state():

@@ -510,6 +510,10 @@ def test_human_terms_match_the_twice_factored_reference(trained_kind):
 
 def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
     model, held_out = trained_kind
+    # a model of the same parameters that has not predicted yet: the
+    # fixture's has factored its blocks in earlier tests
+    fresh = TscModel(*(HmmModel(m.priors, m.transitions, m.emissions, m.split)
+                       for m in (model.base, model.transition)), model.window)
     factored = []
     for module, name in ((np.linalg, "cholesky"), (scipy.linalg, "cho_factor"),
                          (gaussian, "cho_factor")):
@@ -521,10 +525,39 @@ def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
 
         # gaussian has no cho_factor of its own to patch unless it imports one
         monkeypatch.setattr(module, name, counted, raising=False)
-    predict(model, held_out[0])
+    predict(fresh, held_out[0])
+    predict(fresh, held_out[1])
+    gmr_predict(fresh.base, held_out[2])
     human = len(model.base.split.human_idx)
     states = model.base.num_states + model.transition.num_states
     assert factored == [(human, human)] * states
+
+
+def test_training_builds_no_regression_factors(criterion6_split, monkeypatch):
+    base, feats, _ = criterion6_split
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return gaussian._conditional_affine(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "_conditional_affine", counted)
+    init = init_temporal_bins(feats, 4, 1e-2)
+    baum_welch(init, feats, max_iter=3)
+    assert not fit(base, feats).fallback
+    assert built == []
+
+
+def test_far_out_human_frames_fail_without_a_warning(trained_kind):
+    model, held_out = trained_kind
+    human = held_out[0].copy()
+    # finite, but too far from every state for the squared distance to stay finite
+    human[:, 0] = np.where(np.arange(len(human)) % 2, 3e160, 1e160)
+    message = "all states have zero emission likelihood at frame 0"
+    for call, target in ((gmr_predict, model.base), (predict, model),
+                         (predict, TscModel(model.base, None, model.window))):
+        with pytest.raises(hmm.TrainingError, match=message):
+            call(target, human)
 
 
 def test_predict_gate_matches_the_reference(trained_kind):
@@ -613,6 +646,29 @@ def test_labelling_on_a_dims_subset_builds_no_sub_model(criterion6_split, monkey
     forward(base, frames, human_idx)
     viterbi_labels(base, frames, human_idx)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda base: TscModel(None, None, 2), "base must be HmmModel, got NoneType"),
+        (lambda base: TscModel(base, "x", 2), "transition must be HmmModel, got str"),
+        (lambda base: HmmModel(base.priors, base.transitions, [[0.0], [0.0]], base.split),
+         r"emissions\[0\] must be GaussianState, got list"),
+        (lambda base: HmmModel(base.priors, base.transitions, None, base.split),
+         "emissions must be a sequence of GaussianState, got NoneType"),
+        (lambda base: HmmModel(base.priors, base.transitions, base.emissions, None),
+         "split must be DimensionSplit, got NoneType"),
+        (lambda base: predict(base, np.zeros((3, 1))), "model must be TscModel, got HmmModel"),
+        (lambda base: gmr_predict(TscModel(base, None, 2), np.zeros((3, 1))),
+         "model must be HmmModel, got TscModel"),
+    ],
+    ids=["tsc-base", "tsc-transition", "hmm-emission", "hmm-emissions", "hmm-split",
+         "predict-model", "gmr-predict-model"],
+)
+def test_models_and_predictors_name_a_wrongly_typed_argument(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(_excursion_base())
 
 
 def test_predict_rejects_what_gmr_predict_rejects():
