@@ -48,8 +48,8 @@ class DimensionSplit:
     robot_idx: tuple[int, ...]
 
     def __post_init__(self):
-        human = tuple(int(i) for i in self.human_idx)
-        robot = tuple(int(i) for i in self.robot_idx)
+        human = _index_tuple("human_idx", self.human_idx)
+        robot = _index_tuple("robot_idx", self.robot_idx)
         for name, idx in (("human_idx", human), ("robot_idx", robot)):
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
@@ -79,6 +79,32 @@ def _check_arg(name: str, value, kind: str, least: int) -> None:
     cls = numbers.Integral if kind == "int" else numbers.Real
     if isinstance(value, bool) or not isinstance(value, cls) or not least <= value < math.inf:
         raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
+
+
+def _index_tuple(name: str, idx) -> tuple[int, ...]:
+    """`idx` as a tuple of ints, or a ValueError naming `name` unless it is a
+    sequence of integers (bools are not)."""
+    items = tuple(idx) if np.iterable(idx) and not isinstance(idx, (str, bytes)) else None
+    if items is None or any(
+        isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items
+    ):
+        raise ValueError(f"{name} must hold only integers")
+    return tuple(int(i) for i in items)
+
+
+def _float_array(name: str, value, copy: bool = True) -> np.ndarray:
+    """`value` as a float array, a new one unless `copy` is false, or a
+    ValueError naming `name` unless it holds numbers, or lists of numbers
+    of equal length."""
+    if value is None:
+        raise ValueError(f"{name} must hold numbers, got None")
+    # an integer beyond the float range raises OverflowError
+    try:
+        return (np.array if copy else np.asarray)(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{name} must hold numbers, or lists of numbers of equal length"
+        ) from None
 
 
 def _check_type(name: str, value, cls: type) -> None:

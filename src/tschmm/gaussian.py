@@ -1,9 +1,11 @@
 """Multivariate Gaussian primitives: density, marginals, conditional means.
 
-Every covariance factor is a Cholesky factor taken by `_cholesky`, which
-holds the one error path; covariance matrices are never inverted
-explicitly. Densities are evaluated in log space so that products over
-long observation sequences do not underflow.
+One factor path and one solve path: every covariance factor is a lower
+Cholesky factor taken by `_cholesky`, which holds the one error path, and
+every triangular solve against such a factor goes through `_solve_lower`.
+Covariance matrices are never inverted explicitly. Densities are evaluated
+in log space so that products over long observation sequences do not
+underflow.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
+
+from .data import _float_array
 
 __all__ = [
     "GaussianState",
@@ -23,12 +27,10 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SYMMETRY_ATOL = 1e-12
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+# LAPACK's triangular solve, bound once: scipy.linalg's wrapper around it
+# checks and converts its arguments on every call, which at these sizes
+# costs several times the solve
+_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _as_readonly(np.atleast_1d(self.mean))
-        cov = _as_readonly(np.atleast_2d(self.cov))
+        mean = np.atleast_1d(_float_array("mean", self.mean))
+        cov = np.atleast_2d(_float_array("cov", self.cov))
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -57,6 +59,8 @@ class GaussianState:
             raise ValueError("mean and cov must be finite")
         if np.max(np.abs(cov - cov.T), initial=0.0) > _SYMMETRY_ATOL:
             raise ValueError("cov must be symmetric to within 1e-12")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -76,8 +80,32 @@ def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
         ) from exc
 
 
-def _log_density(pts: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """(N,) log densities of the rows of `pts` under N(mean, chol chol^T).
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 rhs, or L^-T rhs with trans=1, for a C-ordered lower factor L.
+
+    LAPACK gets the arguments that scipy.linalg's wrapper passes it for such
+    a factor (L^T as an upper factor in Fortran order, the transpose flag
+    flipped), so the results are the wrapper's, bit for bit. Non-finite
+    entries of `rhs` propagate; nothing scans for them.
+    """
+    x, info = _TRTRS(chol.T, rhs, lower=0, trans=1 - trans)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _log_norm(chol: np.ndarray) -> float:
+    """D log 2 pi + log det of the covariance whose lower Cholesky factor is `chol`."""
+    return len(chol) * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _log_density(
+    pts: np.ndarray, mean: np.ndarray, chol: np.ndarray, log_norm: float
+) -> np.ndarray:
+    """(N,) log densities of the rows of `pts` under N(mean, chol chol^T),
+    where `log_norm` is `_log_norm(chol)`. Run it under
+    `np.errstate(over="ignore")`: a point too far out for its residual or
+    its square to stay finite has density 0, which callers report.
 
     Solves L y = (x - mu)^T; the squared norm of y is the Mahalanobis term.
     A lone point is solved beside a copy of itself: BLAS takes another path
@@ -85,12 +113,10 @@ def _log_density(pts: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndar
     a frame's density would depend on how many share a call.
     """
     rhs = (pts - mean).T
-    y = solve_triangular(chol, rhs if len(pts) > 1 else rhs[:, [0, 0]], lower=True)
-    # a point too far out to square has density 0, which callers report
-    with np.errstate(over="ignore"):
-        quad = np.sum(y * y, axis=0)[: len(pts)]
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (len(mean) * _LOG_2PI + log_det + quad)
+    y = _solve_lower(chol, rhs if len(pts) != 1 else rhs[:, [0, 0]])
+    quad = np.sum(y * y, axis=0)[: len(pts)]
+    # an overflowing residual can leave NaN, which fmin takes as inf
+    return -0.5 * (log_norm + np.fmin(quad, np.inf))
 
 
 def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
@@ -103,7 +129,9 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     pts = np.atleast_2d(x)
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
-    out = _log_density(pts, g.mean, _cholesky(g.cov, "the covariance"))
+    chol = _cholesky(g.cov, "the covariance")
+    with np.errstate(over="ignore"):
+        out = _log_density(pts, g.mean, chol, _log_norm(chol))
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -138,6 +166,5 @@ def _conditional_affine(
     s12 = g.cov[np.ix_(obs_idx, free_idx)]
     chol = _cholesky(g.cov[np.ix_(obs_idx, obs_idx)], "the observed-block covariance")
     # gain = S21 S11^-1, computed as (L^-T L^-1 S12)^T
-    y = solve_triangular(chol, s12, lower=True)
-    gain = solve_triangular(chol, y, lower=True, trans="T").T
+    gain = _solve_lower(chol, _solve_lower(chol, s12), trans=1).T
     return chol, gain, g.mean[free_idx] - gain @ g.mean[obs_idx]

@@ -25,16 +25,16 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .data import DimensionSplit, FeatureSequence, _check_arg, _check_type
+from .data import DimensionSplit, FeatureSequence, _check_arg, _check_type, _float_array
 from .gaussian import (
-    _LOG_2PI,
     GaussianState,
     _check_index_list,
     _cholesky,
     _conditional_affine,
     _log_density,
+    _log_norm,
+    _solve_lower,
 )
 
 __all__ = [
@@ -75,8 +75,8 @@ class HmmModel:
     split: DimensionSplit
 
     def __post_init__(self):
-        priors = np.array(self.priors, dtype=float)
-        trans = np.array(self.transitions, dtype=float)
+        priors = _float_array("priors", self.priors)
+        trans = _float_array("transitions", self.transitions)
         if not np.iterable(self.emissions):
             kind = type(self.emissions).__name__
             raise ValueError(f"emissions must be a sequence of GaussianState, got {kind}")
@@ -128,10 +128,11 @@ class HmmModel:
         so every later call fails the same way."""
         human_idx = np.array(self.split.human_idx)
         robot_idx = np.array(self.split.robot_idx)
-        return tuple(
-            _Regression(g.mean[human_idx], *_conditional_affine(g, human_idx, robot_idx))
-            for g in self.emissions
-        )
+        regs = []
+        for g in self.emissions:
+            chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
+            regs.append(_Regression(g.mean[human_idx], chol, _log_norm(chol), gain, offset))
+        return tuple(regs)
 
 
 class _Regression(NamedTuple):
@@ -139,6 +140,7 @@ class _Regression(NamedTuple):
 
     mean: np.ndarray  # the human block of the mean
     chol: np.ndarray  # lower Cholesky factor of the human block of the covariance
+    log_norm: float  # D_human log 2 pi + log det of that block: `_log_norm(chol)`
     gain: np.ndarray  # (R, D_human): the conditional robot mean is gain @ x + offset
     offset: np.ndarray
 
@@ -162,7 +164,11 @@ class ForwardResult:
 
 def _frames_of(obs) -> np.ndarray:
     """Accept a FeatureSequence or a raw (T, D) array."""
-    frames = obs.frames if isinstance(obs, FeatureSequence) else np.asarray(obs, dtype=float)
+    if isinstance(obs, FeatureSequence):
+        frames = obs.frames
+    else:
+        # not copied: a copy's layout can change how einsum rounds a frame
+        frames = _float_array("observations", obs, copy=False)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("observations must be a non-empty (T, D) matrix")
     if not np.all(np.isfinite(frames)):
@@ -210,15 +216,18 @@ def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> 
     by (D, D) product, cheaper than a triangular solve against all T
     frames. A frame's rounding may then depend on how many share the call,
     which EM and labelling do not mind; prediction keeps the solve
-    (`_human_marginal`), which makes prefixes exact.
+    (`_human_marginal`), which makes prefixes exact. A frame too far out
+    for its residual or its square to stay finite has density 0.
     """
     out = np.empty((len(frames), model.num_states))
     eye = np.eye(len(dims))
-    for i, g in enumerate(model.emissions):
-        chol = _cholesky(g.cov[np.ix_(dims, dims)], "the covariance")
-        y = (frames - g.mean[dims]) @ solve_triangular(chol, eye, lower=True).T
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, i] = -0.5 * (len(dims) * _LOG_2PI + log_det + np.einsum("td,td->t", y, y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, g in enumerate(model.emissions):
+            chol = _cholesky(g.cov[np.ix_(dims, dims)], "the covariance")
+            y = (frames - g.mean[dims]) @ _solve_lower(chol, eye).T
+            # an overflowing residual can leave NaN, which fmin takes as inf
+            quad = np.fmin(np.einsum("td,td->t", y, y), np.inf)
+            out[:, i] = -0.5 * (_log_norm(chol) + quad)
     return out
 
 
@@ -353,13 +362,14 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
     the transition-weighted sum. `obs` must have one column per entry of
     `dims` (all model dimensions when dims is None).
     """
+    _check_type("model", model, HmmModel)
     frames = _frames_of(obs)
-    dims = range(model.dim) if dims is None else dims
+    dims = _check_index_list(range(model.dim) if dims is None else dims, model.dim, "dims")
     if frames.shape[1] != len(dims):
         raise ValueError(
             f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
         )
-    log_b = _log_emissions(model, frames, _check_index_list(dims, model.dim, "dims"))
+    log_b = _log_emissions(model, frames, dims)
     passes = _forward_backward(model.priors, model.transitions, log_b, np.array([len(frames)]))
     log_cum = np.cumsum(passes.log_c)  # flattens the (1, T) constants of a batch of one
     with np.errstate(divide="ignore"):
@@ -577,18 +587,21 @@ def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np
 
     One Cholesky factor of each state's human block serves both: the
     density solves against it and the regression gain is built from it,
-    and the model keeps the factors for every later call (`_regression`).
-    The conditional mean is affine in the frame. It is applied by einsum,
-    not by a matrix product, because BLAS takes another path for a single
-    frame whose rounding differs: every row here depends on its own frame
-    only, so predicting on a prefix gives the first rows of predicting on
-    the whole sequence, bit for bit.
+    and the model keeps the factors and the log normalizer for every later
+    call (`_regression`). A frame too far out to score has density 0 and
+    may have a non-finite conditional mean, which no caller reaches: the
+    forward pass fails on it. The conditional mean is affine in the frame.
+    It is applied by einsum, not by a matrix product, because BLAS takes
+    another path for a single frame whose rounding differs: every row here
+    depends on its own frame only, so predicting on a prefix gives the
+    first rows of predicting on the whole sequence, bit for bit.
     """
     log_b = np.empty((len(frames), model.num_states))
     cond = np.empty((len(frames), model.num_states, len(model.split.robot_idx)))
-    for i, (mean, chol, gain, offset) in enumerate(model._regression):
-        log_b[:, i] = _log_density(frames, mean, chol)
-        cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (mean, chol, log_norm, gain, offset) in enumerate(model._regression):
+            log_b[:, i] = _log_density(frames, mean, chol, log_norm)
+            cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
     return log_b, cond
 
 

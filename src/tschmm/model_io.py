@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .data import DimensionSplit
+from .data import DimensionSplit, _float_array, _index_tuple
 from .gaussian import GaussianState
 from .hmm import HmmModel
 from .tsc import TscModel
@@ -55,21 +55,11 @@ def _field(d, key: str, kind: type, where: str):
 
 
 def _array(d, key: str, where: str) -> np.ndarray:
-    value = _field(d, key, list, where)
-    # an integer beyond the float range raises OverflowError
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{where}.{key} must hold numbers, or lists of numbers of equal length"
-        ) from None
+    return _float_array(f"{where}.{key}", _field(d, key, list, where))
 
 
 def _indices(d, key: str, where: str) -> tuple[int, ...]:
-    value = _field(d, key, list, where)
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in value):
-        raise ValueError(f"{where}.{key} must hold only integers")
-    return tuple(value)
+    return _index_tuple(f"{where}.{key}", _field(d, key, list, where))
 
 
 def _built(where: str, make, *args):

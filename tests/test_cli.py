@@ -653,26 +653,24 @@ def test_malformed_file_exits_two_naming_the_file(workdir, data_csv, trained, co
     assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err), err
 
 
-def _far_out_positions(text: str) -> str:
-    """Dataset CSV text whose hx alternates between 1e160 and 3e160: finite,
-    with finite differences, but too far from every state to score."""
+def _far_out_positions(text: str, even: str = "1e160", odd: str = "3e160") -> str:
+    """Dataset CSV text whose hx alternates between `even` and `odd`, by
+    default 1e160 and 3e160: finite, with finite differences, but too far
+    from every state to score."""
     lines = text.splitlines(keepends=True)
     for k in range(1, len(lines)):
         fields = lines[k].split(",")
-        fields[2] = "1e160" if int(fields[1]) % 2 == 0 else "3e160"
+        fields[2] = even if int(fields[1]) % 2 == 0 else odd
         lines[k] = ",".join(fields)
     return "".join(lines)
 
 
-@pytest.mark.parametrize("command", ["predict", "segment"])
-def test_far_out_frames_exit_three_naming_the_file(workdir, data_csv, trained, command):
-    bad = workdir / "far.csv"
-    bad.write_text(_far_out_positions(data_csv.read_text(encoding="utf-8")), encoding="utf-8")
-    argv = [command, "--model", str(trained[0]), "--data", str(bad),
-            "--out", str(workdir / "far.out")]
+def _assert_exit_three_naming(bad, argv, out):
+    """`argv` exits 3 naming the data file `bad` as no state can score its
+    first frame, writes nothing to `out`, and warns of nothing: in process,
+    where a RuntimeWarning fails the test, and with every warning an error."""
     want = (f"training failed: {bad}: all states have zero emission likelihood "
             "at frame 0 of sequence 0\n")
-    # in process, where a RuntimeWarning fails the test, and with every warning an error
     rc, _, err = run_cli(*argv)
     assert (rc, err) == (3, want)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -681,7 +679,38 @@ def test_far_out_frames_exit_three_naming_the_file(workdir, data_csv, trained, c
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "tschmm", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (3, want)
-    assert not (workdir / "far.out").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "segment"])
+def test_far_out_frames_exit_three_naming_the_file(workdir, data_csv, trained, command):
+    bad = workdir / "far.csv"
+    bad.write_text(_far_out_positions(data_csv.read_text(encoding="utf-8")), encoding="utf-8")
+    out = workdir / "far.out"
+    _assert_exit_three_naming(bad, [command, "--model", str(trained[0]), "--data", str(bad),
+                                    "--out", str(out)], out)
+
+
+def _means_at(value: float):
+    """A model edit setting dimension 0 of every state's mean to `value`."""
+    def edit(doc):
+        for hmm_doc in (doc["model"]["base"], doc["model"]["transition"]):
+            for e in hmm_doc["emissions"]:
+                e["mean"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["predict", "segment"])
+def test_overflowing_residuals_exit_three_naming_the_file(workdir, data_csv, trained, command):
+    # hx = 1e308 on every frame against state means at -1e308: each
+    # residual overflows to inf, though every position difference is 0
+    model = _edited_model(workdir, trained, "minus_max.json", _means_at(-1e308))
+    bad = workdir / "plus_max.csv"
+    bad.write_text(_far_out_positions(data_csv.read_text(encoding="utf-8"), "1e308", "1e308"),
+                   encoding="utf-8")
+    out = workdir / "plus_max.out"
+    _assert_exit_three_naming(bad, [command, "--model", str(model), "--data", str(bad),
+                                    "--out", str(out)], out)
 
 
 def test_segment_window_beyond_every_demo_marks_whole_demos(workdir, data_csv, trained):

@@ -1,26 +1,35 @@
-"""Seeded fuzz of model files and dataset CSVs through the command line.
+"""Seeded fuzz of model files and dataset CSVs through the command line,
+and of the prediction entry points of the library.
 
-Each example mutates a saved model or a small dataset CSV (truncation, a
-deleted key, a value of the wrong kind, a byte that is not UTF-8, an
-oversize or non-numeric field, swapped rows) and runs the commands that
-read it. A malformed file must end with exit 2 and a message that names
-it, never with exit 1 or a traceback. The examples are derandomized, so
-every run tries the same files.
+Each command-line example mutates a saved model or a small dataset CSV
+(truncation, a deleted key, a value of the wrong kind, a byte that is not
+UTF-8, an oversize or non-numeric field, swapped rows) and runs the commands
+that read it. A malformed file must end with exit 2 and a message that
+names it, never with exit 1 or a traceback.
+
+Each library example hands `gmr_predict`, `tsc.predict`, `forward` or
+`viterbi_labels` observations of the wrong type, shape or width, with NaN,
+inf or finite values up to the float limit, or dimension lists of the wrong
+kind. The call must return, or raise ValueError, TrainingError or
+LinAlgError with a message, and must not warn. The examples are
+derandomized, so every run tries the same inputs.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tschmm.cli import main
 from tschmm.data import Dataset, Demonstration, build_features, save_csv, synth_generate
-from tschmm.hmm import init_temporal_bins
+from tschmm.hmm import TrainingError, forward, gmr_predict, init_temporal_bins, viterbi_labels
 from tschmm.model_io import save_model
-from tschmm.tsc import TscModel
+from tschmm.tsc import TscModel, predict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -35,17 +44,27 @@ BAD_FIELDS = ["x" * 140_000, "abc", "", "nan", "inf", "9" * 400, "-1", "1e400"]
 
 
 @pytest.fixture(scope="module")
-def clean(tmp_path_factory):
-    """A 3-demo, 16-frame dataset CSV and a model file with a transition HMM."""
-    root = tmp_path_factory.mktemp("fuzz")
+def short():
+    """A 3-demo dataset of 16-frame demos."""
     ds, _ = synth_generate("handshake", 3, 0.005, 0)
-    short = Dataset(
+    return Dataset(
         [Demonstration(d.human_pos[:16], d.robot_pos[:16], label=d.label) for d in ds.demos],
         name="short",
     )
-    save_csv(short, root / "data.csv")
+
+
+@pytest.fixture(scope="module")
+def model(short):
+    """A model of the short dataset with a transition HMM."""
     feats = [build_features(d) for d in short.demos]
-    model = TscModel(init_temporal_bins(feats, 2, 1e-2), init_temporal_bins(feats, 2, 1e-1), 2)
+    return TscModel(init_temporal_bins(feats, 2, 1e-2), init_temporal_bins(feats, 2, 1e-1), 2)
+
+
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory, short, model):
+    """The short dataset's CSV and the model's file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_csv(short, root / "data.csv")
     save_model(model, root / "model.json")
     return root
 
@@ -139,3 +158,75 @@ def test_mutated_dataset_csv_is_named_or_read(clean, data):
     for command in ("predict", "segment"):
         _check([command, "--model", clean / "model.json", "--data", bad,
                 "--out", clean / f"{command}.csv"], bad)
+
+
+# --- library entry points ----------------------------------------------------
+
+# observations no entry point can read as a (T, D) matrix of numbers
+WRONG_OBSERVATIONS = ["text", {}, None, True, 3, b"\x00", [], [[]], np.zeros(3),
+                      np.zeros((0, 3)), [[0.0, 1.0], [0.0]], [["a", "b"]]]
+# values a frame may hold: non-finite, huge, tiny, and a number's text
+CELLS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308, 1e200, 1e154,
+         5e-324, "1.5"]
+# dimension lists of the wrong kind, order or range, and an empty one
+WRONG_DIMS = ["ab", 3, [0.5], [True], [1, 0], [0, 0], [], [[0]], [0, 99], [-1]]
+
+
+def _observations(data, width: int):
+    """Frames of `width` columns with extreme cells, or input of the wrong shape or kind."""
+    kind = data.draw(st.sampled_from(["frames", "cells", "rows", "width", "wrong"]))
+    if kind == "wrong":
+        return data.draw(st.sampled_from(WRONG_OBSERVATIONS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    frames = rng.normal(size=(data.draw(st.integers(1, 12)), width))
+    if kind == "width":
+        return frames[:, : data.draw(st.integers(0, width - 1))]
+    if kind != "frames":
+        value = data.draw(st.sampled_from(CELLS) | st.floats(width=64))
+        frames = frames.astype(object)
+        at = data.draw(st.integers(0, frames.size - 1))
+        if kind == "rows":  # a whole frame, so no state can score it
+            frames[at // width] = value
+        else:
+            frames.flat[at] = value
+    return frames
+
+
+def _dims(data, model):
+    """A dimension list for `forward`, and the observation width it asks for."""
+    dim = model.base.dim
+    kind = data.draw(st.sampled_from(["all", "human", "some", "wrong"]))
+    if kind == "wrong":
+        return data.draw(st.sampled_from(WRONG_DIMS)), dim
+    if kind == "all":
+        return None, dim
+    dims = list(model.base.split.human_idx) if kind == "human" else sorted(
+        data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim)))
+    return dims, len(dims)
+
+
+ENTRY_POINTS = {"gmr_predict": gmr_predict, "predict": predict, "forward": forward,
+                "viterbi_labels": viterbi_labels}
+
+
+@settings(FUZZ, max_examples=60)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_prediction_entry_point_returns_or_fails_with_a_message(model, name, data):
+    call = ENTRY_POINTS[name]
+    target = model if call is predict else model.base
+    if call in (forward, viterbi_labels):
+        dims, width = _dims(data, model)
+        args = (dims,)
+    else:
+        args, width = (), len(model.base.split.human_idx)
+    if data.draw(st.integers(0, 9)) == 0:
+        target = data.draw(st.sampled_from(["model", None, model.base.emissions[0],
+                                            model if target is model.base else model.base]))
+    obs = _observations(data, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(target, obs, *args)
+        except (ValueError, TrainingError, np.linalg.LinAlgError) as exc:
+            assert str(exc)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tschmm.gaussian import GaussianState, log_density, marginalize
+from tschmm.gaussian import GaussianState, _solve_lower, log_density, marginalize
 
 # ln N(0; 0, 1) = -0.5 * ln(2*pi), checked against scipy.stats.norm
 LOG_STD_NORMAL_AT_ZERO = -0.9189385332046727
@@ -36,9 +37,33 @@ def test_log_density_batch_agrees_with_single_rows():
         xs = rng.normal(size=(11, dim))
         batch = log_density(xs, g)
         assert batch.shape == (11,)
+        assert log_density(xs[:0], g).shape == (0,)
         for t in range(11):
             assert batch[t] == log_density(xs[t], g)
             assert np.array_equal(log_density(xs[: t + 1], g), batch[: t + 1])
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+def test_solve_lower_equals_scipy_bit_for_bit(trans):
+    rng = np.random.default_rng(11)
+    for dim in range(1, 13):
+        chol = np.linalg.cholesky(_random_pd_cov(rng, dim))
+        residuals = (rng.normal(size=(148, dim)) * 3.0 - rng.normal(size=dim)).T
+        lone = residuals[:, :1]
+        # one right-hand side, many (Fortran- and C-ordered), and the
+        # lone point beside a copy of itself, as `_log_density` solves it
+        for rhs in (lone, residuals, np.ascontiguousarray(residuals), lone[:, [0, 0]]):
+            want = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=trans)
+            assert np.array_equal(_solve_lower(chol, rhs, trans), want), (dim, rhs.shape)
+
+
+def test_log_density_of_an_overflowing_residual_is_minus_inf():
+    # the residual overflows to inf in both coordinates; the correlated
+    # factor then turns the solve's second entry into inf - inf = NaN
+    g = GaussianState([-1e308, -1e308], [[1.0, 0.5], [0.5, 1.0]])
+    assert log_density(np.array([1e308, 1e308]), g) == -np.inf
+    out = log_density(np.array([[1e308, 1e308], [-1e308, -1e308]]), g)
+    assert out[0] == -np.inf and np.isfinite(out[1])
 
 
 def test_log_density_rejects_wrong_width():

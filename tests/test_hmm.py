@@ -86,6 +86,30 @@ def test_model_validates_emissions_and_split():
         HmmModel([1.0], [[1.0]], (g2,), split)
 
 
+_G1 = GaussianState([0.0], [[1.0]])
+_SPLIT1 = DimensionSplit((0,), ())
+
+
+@pytest.mark.parametrize("cls, args, field", [
+    pytest.param(GaussianState, ([0.0], "x"), "cov", id="cov-text"),
+    pytest.param(GaussianState, ("x", [[1.0]]), "mean", id="mean-text"),
+    pytest.param(GaussianState, (None, [[1.0]]), "mean", id="mean-None"),
+    pytest.param(GaussianState, ([0.0], {}), "cov", id="cov-dict"),
+    pytest.param(GaussianState, ([[0.0], [0.0, 1.0]], np.eye(2)), "mean", id="mean-ragged"),
+    pytest.param(HmmModel, (["a"], [[1.0]], (_G1,), _SPLIT1), "priors", id="priors-text"),
+    pytest.param(HmmModel, ([1.0], None, (_G1,), _SPLIT1), "transitions", id="transitions-None"),
+    pytest.param(HmmModel, ([1.0], [[object()]], (_G1,), _SPLIT1), "transitions",
+                 id="transitions-object"),
+    pytest.param(DimensionSplit, (None, (1,)), "human_idx", id="human_idx-None"),
+    pytest.param(DimensionSplit, ((0,), "1"), "robot_idx", id="robot_idx-text"),
+    pytest.param(DimensionSplit, ((0.0,), (1,)), "human_idx", id="human_idx-float"),
+    pytest.param(DimensionSplit, ((0,), (True,)), "robot_idx", id="robot_idx-bool"),
+])
+def test_constructors_name_the_bad_field(cls, args, field):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        cls(*args)
+
+
 # --- forward -------------------------------------------------------------------
 
 def test_forward_single_state_is_degenerate():
@@ -161,6 +185,23 @@ def test_forward_underflow_raises_training_error():
         TrainingError, match="zero emission likelihood at frame 0"
     ):
         forward(hand_model(), np.array([[1e200]]))
+
+
+def test_overflowing_residuals_give_density_zero_without_a_warning():
+    # residuals from the far state overflow to inf, and its correlated
+    # factor turns them into NaN in the solve; that state gets density 0
+    cov = [[1.0, 0.5], [0.5, 1.0]]
+    model = HmmModel([0.5, 0.5], np.full((2, 2), 0.5),
+                     (GaussianState([-1e308, -1e308], cov), GaussianState([1e308, 1e308], cov)),
+                     DimensionSplit((0, 1), ()))
+    frames = np.full((3, 2), 1e308)
+    assert np.array_equal(forward(model, frames).h, [[0.0, 1.0]] * 3)
+    assert np.array_equal(viterbi_labels(model, frames[:, :1], [0]), [1, 1, 1])
+    # no state can score a frame whose residual overflows under each
+    frames[1] = [1e308, -1e308]
+    for call in (lambda: forward(model, frames), lambda: viterbi_labels(model, frames, [0, 1])):
+        with pytest.raises(TrainingError, match="zero emission likelihood at frame 1$"):
+            call()
 
 
 def test_forward_validates_observation_width():

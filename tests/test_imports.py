@@ -1,6 +1,7 @@
 """Every name a tschmm module imports is used in that module, every
 top-level private name a module defines is used somewhere in the package,
-and every name a module exports in `__all__` is defined in that module.
+every name a module exports in `__all__` is defined in that module, and no
+module reaches `scipy.linalg.solve_triangular` around the one solve helper.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -16,7 +17,8 @@ import pytest
 import tschmm
 
 PACKAGE = Path(tschmm.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -128,3 +130,36 @@ def test_the_check_finds_an_exported_name_the_module_does_not_define():
     source = ("from a import B\n__all__ = ['B', 'C', 'f', 'K', 'gone']\n"
               "class C:\n    pass\n\ndef f():\n    pass\n\nK: int = 1\n")
     assert _exported_but_not_defined(source) == ["B", "gone"]
+
+
+def _solve_triangular_uses(source: str) -> list[str]:
+    """Lines that import, call or otherwise name `solve_triangular`: every
+    triangular solve goes through `gaussian._solve_lower` instead."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant):  # getattr(scipy.linalg, "solve_triangular")
+            names = [node.value]
+        else:
+            continue
+        if "solve_triangular" in names:
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_calls_no_solve_triangular(path):
+    assert _solve_triangular_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_each_way_to_reach_solve_triangular():
+    source = ('"""Docs may say solve_triangular."""\nimport scipy.linalg\n'
+              "from scipy.linalg import solve_triangular as st\n"
+              "scipy.linalg.solve_triangular(a, b)\n"
+              'getattr(scipy.linalg, "solve_triangular")\nimport scipy.linalg.solve_triangular\n')
+    assert _solve_triangular_uses(source) == ["line 3", "line 4", "line 5", "line 6"]

@@ -525,12 +525,20 @@ def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
 
         # gaussian has no cho_factor of its own to patch unless it imports one
         monkeypatch.setattr(module, name, counted, raising=False)
+    normalized = []
+
+    def log_norm(chol):
+        normalized.append(np.shape(chol))
+        return gaussian._log_norm(chol)
+
+    monkeypatch.setattr(hmm, "_log_norm", log_norm)
     predict(fresh, held_out[0])
     predict(fresh, held_out[1])
     gmr_predict(fresh.base, held_out[2])
     human = len(model.base.split.human_idx)
     states = model.base.num_states + model.transition.num_states
     assert factored == [(human, human)] * states
+    assert normalized == [(human, human)] * states
 
 
 def test_training_builds_no_regression_factors(criterion6_split, monkeypatch):
@@ -558,6 +566,31 @@ def test_far_out_human_frames_fail_without_a_warning(trained_kind):
                          (predict, TscModel(model.base, None, model.window))):
         with pytest.raises(hmm.TrainingError, match=message):
             call(target, human)
+
+
+def _shifted(model, dim, value):
+    """The HMM with every state's mean set to `value` in dimension `dim`."""
+    emissions = tuple(GaussianState(np.where(np.arange(model.dim) == dim, value, g.mean), g.cov)
+                      for g in model.emissions)
+    return HmmModel(model.priors, model.transitions, emissions, model.split)
+
+
+def test_overflowing_human_residuals_fail_without_a_warning(trained_kind):
+    model, held_out = trained_kind
+    far = TscModel(_shifted(model.base, 0, -1e308), _shifted(model.transition, 0, -1e308),
+                   model.window)
+    human = held_out[0].copy()
+    # every residual overflows in dimension 0
+    human[:, 0] = 1e308
+    message = "all states have zero emission likelihood at frame 0$"
+    for call, target in ((gmr_predict, far.base), (predict, far),
+                         (predict, TscModel(far.base, None, far.window))):
+        with pytest.raises(hmm.TrainingError, match=message):
+            call(target, human)
+    joint = np.zeros((len(human), far.base.dim))
+    joint[:, far.base.split.human_idx] = human
+    with pytest.raises(hmm.TrainingError, match=message):
+        detect_transition_states(far.base, [joint], far.window)
 
 
 def test_predict_gate_matches_the_reference(trained_kind):
