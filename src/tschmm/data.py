@@ -92,15 +92,14 @@ def _index_tuple(name: str, idx) -> tuple[int, ...]:
     return tuple(int(i) for i in items)
 
 
-def _float_array(name: str, value, copy: bool = True) -> np.ndarray:
-    """`value` as a float array, a new one unless `copy` is false, or a
-    ValueError naming `name` unless it holds numbers, or lists of numbers
-    of equal length."""
+def _float_array(name: str, value) -> np.ndarray:
+    """`value` as a new float array, or a ValueError naming `name` unless
+    it holds numbers, or lists of numbers of equal length."""
     if value is None:
         raise ValueError(f"{name} must hold numbers, got None")
     # an integer beyond the float range raises OverflowError
     try:
-        return (np.array if copy else np.asarray)(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{name} must hold numbers, or lists of numbers of equal length"

@@ -5,7 +5,8 @@ Cholesky factor taken by `_cholesky`, which holds the one error path, and
 every triangular solve against such a factor goes through `_solve_lower`.
 Covariance matrices are never inverted explicitly. Densities are evaluated
 in log space so that products over long observation sequences do not
-underflow.
+underflow. Prediction and `log_density` take `_log_densities`, whose rows
+depend on their own point alone; EM takes the faster `hmm._log_emissions`.
 """
 
 from __future__ import annotations
@@ -99,24 +100,23 @@ def _log_norm(chol: np.ndarray) -> float:
     return len(chol) * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol)))
 
 
-def _log_density(
-    pts: np.ndarray, mean: np.ndarray, chol: np.ndarray, log_norm: float
+def _log_densities(
+    pts: np.ndarray, means: np.ndarray, inv_chols: np.ndarray, log_norms: np.ndarray
 ) -> np.ndarray:
-    """(N,) log densities of the rows of `pts` under N(mean, chol chol^T),
-    where `log_norm` is `_log_norm(chol)`. Run it under
-    `np.errstate(over="ignore")`: a point too far out for its residual or
-    its square to stay finite has density 0, which callers report.
+    """(N, S) log densities of the rows of `pts` under S Gaussians, given
+    each one's mean, inverse lower Cholesky factor L^-1 and `_log_norm`.
 
-    Solves L y = (x - mu)^T; the squared norm of y is the Mahalanobis term.
-    A lone point is solved beside a copy of itself: BLAS takes another path
-    for one right-hand side, and its rounding differs from the batch's, so
-    a frame's density would depend on how many share a call.
+    |L^-1 (x - mu)|^2 is two einsum calls, `optimize` left off, over
+    C-ordered residuals and factors: no BLAS product or strided loop, whose
+    rounding depends on the batch or the layout, so each row depends on its
+    own point alone. A point too far out to square its residual has density 0.
     """
-    rhs = (pts - mean).T
-    y = _solve_lower(chol, rhs if len(pts) != 1 else rhs[:, [0, 0]])
-    quad = np.sum(y * y, axis=0)[: len(pts)]
-    # an overflowing residual can leave NaN, which fmin takes as inf
-    return -0.5 * (log_norm + np.fmin(quad, np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.subtract(pts[:, None, :], means, order="C")
+        y = np.einsum("skh,tsh->tsk", np.ascontiguousarray(inv_chols), res)
+        # an overflowing residual can leave NaN, which fmin takes as inf
+        quad = np.fmin(np.einsum("tsk,tsk->ts", y, y), np.inf)
+    return -0.5 * (log_norms + quad)
 
 
 def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
@@ -130,9 +130,8 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
     chol = _cholesky(g.cov, "the covariance")
-    with np.errstate(over="ignore"):
-        out = _log_density(pts, g.mean, chol, _log_norm(chol))
-    return float(out[0]) if x.ndim == 1 else out
+    out = _log_densities(pts, [g.mean], [_solve_lower(chol, np.eye(g.dim))], [_log_norm(chol)])
+    return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 
 def _check_index_list(idx: Sequence[int], dim: int, name: str = "idx") -> np.ndarray:
@@ -160,8 +159,9 @@ def _conditional_affine(
     """Affine map of the conditional: mean(obs) = offset + gain @ obs.
 
     Takes checked, disjoint index arrays. Returns (chol, gain, offset): the
-    lower Cholesky factor of the observed block, which also serves that
-    block's density (`_log_density`), and the map onto the `free_idx` dims.
+    lower Cholesky factor of the observed block, whose inverse also serves
+    that block's density (`_log_densities`), and the map onto the
+    `free_idx` dims.
     """
     s12 = g.cov[np.ix_(obs_idx, free_idx)]
     chol = _cholesky(g.cov[np.ix_(obs_idx, obs_idx)], "the observed-block covariance")

@@ -32,7 +32,7 @@ from .gaussian import (
     _check_index_list,
     _cholesky,
     _conditional_affine,
-    _log_density,
+    _log_densities,
     _log_norm,
     _solve_lower,
 )
@@ -121,28 +121,29 @@ class HmmModel:
         return self.emissions[0].dim
 
     @functools.cached_property
-    def _regression(self) -> tuple[_Regression, ...]:
-        """Each state's regression factors, built on first use and kept in
+    def _regression(self) -> _Regression:
+        """The states' regression factors, built on first use and kept in
         the instance `__dict__`, not as a field: EM builds a model per M-step
         and predicts with none of them. A failed factorization is not kept,
         so every later call fails the same way."""
         human_idx = np.array(self.split.human_idx)
         robot_idx = np.array(self.split.robot_idx)
-        regs = []
+        states = []
         for g in self.emissions:
             chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
-            regs.append(_Regression(g.mean[human_idx], chol, _log_norm(chol), gain, offset))
-        return tuple(regs)
+            inv_chol = _solve_lower(chol, np.eye(len(chol)))
+            states.append((g.mean[human_idx], inv_chol, _log_norm(chol), gain, offset))
+        return _Regression(*map(np.array, zip(*states)))
 
 
 class _Regression(NamedTuple):
-    """One state's factors for regression on the human dims."""
+    """The states' factors for regression on the human dims, stacked C-ordered."""
 
-    mean: np.ndarray  # the human block of the mean
-    chol: np.ndarray  # lower Cholesky factor of the human block of the covariance
-    log_norm: float  # D_human log 2 pi + log det of that block: `_log_norm(chol)`
-    gain: np.ndarray  # (R, D_human): the conditional robot mean is gain @ x + offset
-    offset: np.ndarray
+    means: np.ndarray  # (S, H): the human blocks of the means
+    inv_chols: np.ndarray  # (S, H, H): inverse lower Cholesky factors of the human blocks
+    log_norms: np.ndarray  # (S,): H log 2 pi + log det of each block, `_log_norm`
+    gains: np.ndarray  # (S, R, H): the conditional robot mean is gain @ x + offset
+    offsets: np.ndarray  # (S, R)
 
 
 @dataclass(frozen=True)
@@ -164,11 +165,7 @@ class ForwardResult:
 
 def _frames_of(obs) -> np.ndarray:
     """Accept a FeatureSequence or a raw (T, D) array."""
-    if isinstance(obs, FeatureSequence):
-        frames = obs.frames
-    else:
-        # not copied: a copy's layout can change how einsum rounds a frame
-        frames = _float_array("observations", obs, copy=False)
+    frames = obs.frames if isinstance(obs, FeatureSequence) else _float_array("observations", obs)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("observations must be a non-empty (T, D) matrix")
     if not np.all(np.isfinite(frames)):
@@ -211,12 +208,12 @@ def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> 
     """(T, S) log densities of the frames under each state's marginal on
     `dims`, read off the model with one Cholesky factor per state.
 
-    Each state's centred frames are multiplied by the inverse of its
-    factor: one triangular inversion of a D x D identity and one (T, D)
-    by (D, D) product, cheaper than a triangular solve against all T
-    frames. A frame's rounding may then depend on how many share the call,
-    which EM and labelling do not mind; prediction keeps the solve
-    (`_human_marginal`), which makes prefixes exact. A frame too far out
+    The first of the two density paths: each state's centred frames are
+    multiplied by the inverse of its factor, one D x D triangular inversion
+    and one (T, D) by (D, D) BLAS product per state. A frame's rounding may
+    then depend on how many share the call, which EM and labelling do not
+    mind; stacking the states as prediction does (`gaussian._log_densities`)
+    gave the same bits but was slower on EM's batches. A frame too far out
     for its residual or its square to stay finite has density 0.
     """
     out = np.empty((len(frames), model.num_states))
@@ -585,23 +582,19 @@ def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np
     """Each state's human-marginal log density of the (T, D_human) frames,
     (T, S), and its conditional mean of the robot dims given them, (T, S, R).
 
-    One Cholesky factor of each state's human block serves both: the
-    density solves against it and the regression gain is built from it,
-    and the model keeps the factors and the log normalizer for every later
-    call (`_regression`). A frame too far out to score has density 0 and
-    may have a non-finite conditional mean, which no caller reaches: the
-    forward pass fails on it. The conditional mean is affine in the frame.
-    It is applied by einsum, not by a matrix product, because BLAS takes
-    another path for a single frame whose rounding differs: every row here
-    depends on its own frame only, so predicting on a prefix gives the
-    first rows of predicting on the whole sequence, bit for bit.
+    One Cholesky factor of each state's human block serves both, through
+    the stacked factors the model keeps (`_regression`). The densities take
+    prediction's density path (`gaussian._log_densities`) and the
+    conditional means one einsum over C-ordered frames, so every row
+    depends on its own frame's values only: a prefix, or frames in any
+    memory layout, give the same rows bit for bit. A frame too far out to
+    score has density 0 and may have a non-finite conditional mean, which
+    no caller reaches: the forward pass fails on it.
     """
-    log_b = np.empty((len(frames), model.num_states))
-    cond = np.empty((len(frames), model.num_states, len(model.split.robot_idx)))
+    reg = model._regression
+    log_b = _log_densities(frames, reg.means, reg.inv_chols, reg.log_norms)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (mean, chol, log_norm, gain, offset) in enumerate(model._regression):
-            log_b[:, i] = _log_density(frames, mean, chol, log_norm)
-            cond[:, i] = np.einsum("th,rh->tr", frames, gain) + offset
+        cond = np.einsum("srh,th->tsr", reg.gains, np.ascontiguousarray(frames)) + reg.offsets
     return log_b, cond
 
 

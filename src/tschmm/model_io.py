@@ -36,7 +36,7 @@ def _hmm_to_dict(model: HmmModel) -> dict:
 
 
 _JSON_TYPES = {list: "a list", dict: "an object", str: "a string", int: "an integer",
-               bool: "true or false"}
+               bool: "true or false", type(None): "null"}
 
 
 def _field(d, key: str, kind: type, where: str):
@@ -55,7 +55,14 @@ def _field(d, key: str, kind: type, where: str):
 
 
 def _array(d, key: str, where: str) -> np.ndarray:
-    return _float_array(f"{where}.{key}", _field(d, key, list, where))
+    """d[key], nested lists of JSON numbers, as floats; numpy would take "1" and true."""
+    todo = [_field(d, key, list, where)]
+    for leaf in todo:  # grows as the loop walks it
+        if isinstance(leaf, list):
+            todo.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValueError(f"{where}.{key} must hold numbers, got {_JSON_TYPES[type(leaf)]}")
+    return _float_array(f"{where}.{key}", todo[0])
 
 
 def _indices(d, key: str, where: str) -> tuple[int, ...]:

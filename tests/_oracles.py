@@ -114,15 +114,16 @@ def e_step(priors, trans, log_bs, seqs):
 
 # --- emission table by triangular solve -------------------------------------
 # The package's emission table before it multiplied by each state's inverse
-# Cholesky factor: a triangular solve against all the frames, as the
-# prediction path still computes a density.
+# Cholesky factor, and its prediction densities before they took einsum over
+# stacked inverse factors: a triangular solve against all the frames.
 
 
 def solve_log_density(frames, mean, cov):
     """(T,) log densities of the (T, D) frames under N(mean, cov), solving
     against the numpy Cholesky factor of cov."""
     chol = np.linalg.cholesky(cov)
-    # a lone frame is solved beside a copy of itself, as log_density does
+    # a lone frame is solved beside a copy of itself: BLAS takes another
+    # path for one right-hand side, whose rounding differs from the batch's
     rhs = (frames - mean).T
     y = solve_triangular(chol, rhs if len(frames) > 1 else rhs[:, [0, 0]], lower=True)
     quad = np.sum(y * y, axis=0)[: len(frames)]

@@ -429,6 +429,29 @@ def test_predict_model_rejected_by_its_type_names_the_file_and_key(
     assert re.fullmatch(f"error: {re.escape(str(path))}: {message}\n", err), err
 
 
+@pytest.mark.parametrize(
+    "edit, key, kind",
+    [
+        (lambda m: m["base"]["priors"].__setitem__(0, str(m["base"]["priors"][0])),
+         "model.base.priors", "a string"),
+        (lambda m: m["base"]["emissions"][0]["mean"].__setitem__(0, True),
+         "model.base.emissions[0].mean", "true or false"),
+        (lambda m: m["transition"]["emissions"][1]["cov"][2].__setitem__(
+            2, str(m["transition"]["emissions"][1]["cov"][2][2])),
+         "model.transition.emissions[1].cov", "a string"),
+    ],
+    ids=["string", "bool", "nested-string"],
+)
+def test_predict_refuses_a_model_value_that_is_not_a_json_number(
+        workdir, data_csv, trained, edit, key, kind):
+    # numpy reads "0.5" as 0.5 and true as 1.0; the format stores numbers
+    path = _edited_model(workdir, trained, "not_a_number.json", lambda doc: edit(doc["model"]))
+    rc, _, err = run_cli("predict", "--model", str(path),
+                         "--data", str(data_csv), "--out", str(workdir / "nope.csv"))
+    assert rc == 2
+    assert err == f"error: {path}: {key} must hold numbers, got {kind}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_mode_flag_is_an_unknown_argument(workdir, data_csv, command):
     with pytest.raises(SystemExit) as exc:

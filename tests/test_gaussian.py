@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tschmm.gaussian import GaussianState, _solve_lower, log_density, marginalize
+import _oracles
+from tschmm.gaussian import (
+    GaussianState,
+    _log_densities,
+    _log_norm,
+    _solve_lower,
+    log_density,
+    marginalize,
+)
 
 # ln N(0; 0, 1) = -0.5 * ln(2*pi), checked against scipy.stats.norm
 LOG_STD_NORMAL_AT_ZERO = -0.9189385332046727
@@ -43,6 +53,33 @@ def test_log_density_batch_agrees_with_single_rows():
             assert np.array_equal(log_density(xs[: t + 1], g), batch[: t + 1])
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(states=st.integers(1, 5), dim=st.integers(1, 8), frames=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_densities_give_prefix_rows_bit_for_bit(states, dim, frames, seed):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(states, dim))
+    covs = [_random_pd_cov(rng, dim) for _ in range(states)]
+    chols = [np.linalg.cholesky(cov) for cov in covs]
+    log_norms = np.array([_log_norm(chol) for chol in chols])
+    # LAPACK returns each inverse factor Fortran-ordered, and np.stack
+    # keeps that order within each factor
+    fortran_factors = np.stack([_solve_lower(chol, np.eye(dim)) for chol in chols])
+    inv_chols = np.ascontiguousarray(fortran_factors)
+    pts = rng.normal(size=(frames, dim)) * 3.0
+    whole = _log_densities(pts, means, inv_chols, log_norms)
+    assert whole.shape == (frames, states)
+    want = np.column_stack([
+        _oracles.solve_log_density(pts, mean, cov) for mean, cov in zip(means, covs)
+    ])
+    np.testing.assert_allclose(whole, want, rtol=1e-10, atol=1e-10)
+    for k in range(1, frames + 1):
+        for prefix in (pts[:k], np.asfortranarray(pts[:k]), pts[k - 1:k].copy()):
+            for factors in (inv_chols, fortran_factors, np.asfortranarray(inv_chols)):
+                got = _log_densities(prefix, means, factors, log_norms)
+                assert np.array_equal(got[-1], whole[k - 1]), (k, prefix.strides, factors.strides)
+
+
 @pytest.mark.parametrize("trans", [0, 1])
 def test_solve_lower_equals_scipy_bit_for_bit(trans):
     rng = np.random.default_rng(11)
@@ -50,8 +87,8 @@ def test_solve_lower_equals_scipy_bit_for_bit(trans):
         chol = np.linalg.cholesky(_random_pd_cov(rng, dim))
         residuals = (rng.normal(size=(148, dim)) * 3.0 - rng.normal(size=dim)).T
         lone = residuals[:, :1]
-        # one right-hand side, many (Fortran- and C-ordered), and the
-        # lone point beside a copy of itself, as `_log_density` solves it
+        # one right-hand side, many (Fortran- and C-ordered), and a lone
+        # right-hand side beside a copy of itself
         for rhs in (lone, residuals, np.ascontiguousarray(residuals), lone[:, [0, 0]]):
             want = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=trans)
             assert np.array_equal(_solve_lower(chol, rhs, trans), want), (dim, rhs.shape)

@@ -1,7 +1,9 @@
 """Every name a tschmm module imports is used in that module, every
 top-level private name a module defines is used somewhere in the package,
-every name a module exports in `__all__` is defined in that module, and no
-module reaches `scipy.linalg.solve_triangular` around the one solve helper.
+every name a module exports in `__all__` is defined in that module, no
+module reaches `scipy.linalg.solve_triangular` around the one solve helper,
+no `np.einsum` call passes `optimize`, and `gaussian._log_density`, the
+per-state density that prediction's stacked kernel replaced, stays gone.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -163,3 +165,61 @@ def test_the_check_finds_each_way_to_reach_solve_triangular():
               "scipy.linalg.solve_triangular(a, b)\n"
               'getattr(scipy.linalg, "solve_triangular")\nimport scipy.linalg.solve_triangular\n')
     assert _solve_triangular_uses(source) == ["line 3", "line 4", "line 5", "line 6"]
+
+
+def _einsum_optimize_uses(source: str) -> list[str]:
+    """Lines of einsum calls that pass `optimize`, or keywords that could
+    carry it: an optimized einsum may route the product through BLAS,
+    whose rounding depends on how many rows share the call, and prediction
+    promises rows that depend on their own frame alone."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "einsum" and any(k.arg in ("optimize", None) for k in node.keywords):
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_einsum_call_passes_optimize(path):
+    assert _einsum_optimize_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_optimized_einsum():
+    source = ('np.einsum("th,rh->tr", x, g)\nnp.einsum("th,rh->tr", x, g, optimize=True)\n'
+              "einsum(s, x, optimize=False)\nnp.einsum(s, x, out=y)\nnp.einsum(s, x, **opts)\n")
+    assert _einsum_optimize_uses(source) == ["line 2", "line 3", "line 5"]
+
+
+def _log_density_uses(source: str) -> list[str]:
+    """Lines that define, import or name `_log_density`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "_log_density" in names:
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_the_per_state_prediction_density_stays_gone(path):
+    assert _log_density_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_each_way_to_bring_back_log_density():
+    source = ('"""Docs may say _log_density."""\ndef _log_density(x):\n    pass\n'
+              "from .gaussian import _log_density\ngaussian._log_density(x)\n"
+              "_log_densities(x)\n")
+    assert _log_density_uses(source) == ["line 2", "line 4", "line 5"]
