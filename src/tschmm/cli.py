@@ -19,8 +19,7 @@ import numpy as np
 from . import data, tsc
 from .data import SYNTH_KINDS, _check_arg, build_features, load_csv, save_csv, synth_generate
 from .evaluation import ExperimentConfig, _config_rule, render_csv, render_table, run_experiment
-from .hmm import (TrainingError, _check_split, _demo_frames, _human_frames, baum_welch,
-                  init_temporal_bins)
+from .hmm import TrainingError, _check_split, baum_welch, init_temporal_bins
 from .model_io import load_model, save_model
 from .tsc import TscModel, detect_transition_states
 
@@ -140,8 +139,9 @@ def _features(path: str):
 
 def _model_and_data(args, window: int):
     """The model file as a TscModel, the dataset and its features, checked
-    to fit each other. An hmm-kind file has no window: it becomes a
-    TscModel without a transition HMM that dilates by `window`."""
+    to fit each other (`build_features` gives every demo one width). An
+    hmm-kind file has no window: it becomes a TscModel without a
+    transition HMM that dilates by `window`."""
     model = load_model(args.model)
     if not isinstance(model, TscModel):
         model = TscModel(model, None, window)
@@ -185,7 +185,7 @@ def cmd_predict(args) -> int:
     model, ds, feats = _model_and_data(args, window=0)
     human_idx = list(model.base.split.human_idx)
     lengths = np.array([len(f) for f in feats])
-    frames = _human_frames(model.base, np.vstack([f.frames for f in feats])[:, human_idx])
+    frames = np.vstack([f.frames for f in feats])[:, human_idx]
     try:
         rows = tsc._predict(model, frames, lengths)
     except TrainingError as exc:
@@ -209,7 +209,7 @@ def cmd_predict(args) -> int:
 def cmd_segment(args) -> int:
     model, ds, feats = _model_and_data(args, args.window)
     try:
-        labels = tsc._segmentation(model.base, _demo_frames(feats, model.base.dim), model.window)
+        labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
     except TrainingError as exc:
         raise TrainingError(f"{args.data}: {exc}") from None
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

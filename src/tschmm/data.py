@@ -50,9 +50,6 @@ class DimensionSplit:
     def __post_init__(self):
         human = _index_tuple("human_idx", self.human_idx)
         robot = _index_tuple("robot_idx", self.robot_idx)
-        for name, idx in (("human_idx", human), ("robot_idx", robot)):
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
         if set(human) & set(robot):
             raise ValueError("human_idx and robot_idx must be disjoint")
         dim = len(human) + len(robot)
@@ -77,33 +74,56 @@ def _check_arg(name: str, value, kind: str, least: int) -> None:
     """Reject `value` unless it is of `kind` ("int" or "float"), not a bool, finite and
     >= least: the package's one rule for counts and tolerances, kept in its lowest module."""
     cls = numbers.Integral if kind == "int" else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, cls) or not least <= value < math.inf:
+    ok = isinstance(value, cls) and not isinstance(value, bool)
+    try:  # an int beyond the float range compares below inf but converts to no float
+        ok = ok and least <= (value if kind == "int" else float(value)) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
 
 
-def _index_tuple(name: str, idx) -> tuple[int, ...]:
+def _sequence(name: str, value, what: str) -> tuple:
+    """`value` as a tuple, or a ValueError naming `name` unless it is an
+    iterable other than text: the package's one rule for lists of inputs."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise ValueError(f"{name} must be a sequence of {what}, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _index_tuple(name: str, idx, dim: int | None = None) -> tuple[int, ...]:
     """`idx` as a tuple of ints, or a ValueError naming `name` unless it is a
-    sequence of integers (bools are not)."""
-    items = tuple(idx) if np.iterable(idx) and not isinstance(idx, (str, bytes)) else None
-    if items is None or any(
-        isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items
-    ):
-        raise ValueError(f"{name} must hold only integers")
-    return tuple(int(i) for i in items)
+    sequence of integers (bools are not) in strictly increasing order and,
+    given `dim`, non-empty and within 0..dim-1: the package's one index rule."""
+    items = _sequence(name, idx, "integers")
+    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items):
+        raise ValueError(f"{name} must hold integers")
+    items = tuple(int(i) for i in items)
+    if dim is not None and not items:
+        raise ValueError(f"{name} must be a non-empty index list")
+    if dim is not None and not all(0 <= i < dim for i in items):
+        raise ValueError(f"{name} contains out-of-range entries for dimension {dim}")
+    if any(b <= a for a, b in zip(items, items[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return items
 
 
 def _float_array(name: str, value) -> np.ndarray:
     """`value` as a new float array, or a ValueError naming `name` unless
-    it holds numbers, or lists of numbers of equal length."""
+    it holds finite numbers, or lists of them of equal length: the package's
+    one rule for arrays."""
     if value is None:
         raise ValueError(f"{name} must hold numbers, got None")
     # an integer beyond the float range raises OverflowError
     try:
-        return np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{name} must hold numbers, or lists of numbers of equal length"
         ) from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _check_type(name: str, value, cls: type) -> None:
@@ -126,16 +146,14 @@ class Demonstration:
     label: str = ""
 
     def __post_init__(self):
-        human = np.array(self.human_pos, dtype=float)
-        robot = np.array(self.robot_pos, dtype=float)
+        human = _float_array("human_pos", self.human_pos)
+        robot = _float_array("robot_pos", self.robot_pos)
         if human.ndim != 2 or human.shape[1] != 3:
             raise ValueError("human_pos must have shape (T, 3)")
         if robot.shape != human.shape:
             raise ValueError("human_pos and robot_pos must share shape (T, 3)")
         if human.shape[0] < 2:
             raise ValueError("a demonstration needs at least 2 frames")
-        if not (np.all(np.isfinite(human)) and np.all(np.isfinite(robot))):
-            raise ValueError("positions must be finite")
         human.setflags(write=False)
         robot.setflags(write=False)
         object.__setattr__(self, "human_pos", human)
@@ -153,7 +171,8 @@ class FeatureSequence:
     split: DimensionSplit
 
     def __post_init__(self):
-        frames = np.array(self.frames, dtype=float)
+        _check_type("split", self.split, DimensionSplit)
+        frames = _float_array("frames", self.frames)
         if frames.ndim != 2:
             raise ValueError("frames must be a (T, D) matrix")
         if frames.shape[1] != self.split.dim:
@@ -187,7 +206,7 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "demos", tuple(self.demos))
+        object.__setattr__(self, "demos", _sequence("demos", self.demos, "Demonstration"))
 
     def __len__(self) -> int:
         return len(self.demos)
@@ -292,6 +311,7 @@ def build_features(demo: Demonstration) -> FeatureSequence:
             raise ValueError(f"position difference at frame {bad.argmax()} overflows")
         return np.hstack([pos, d])
 
+    _check_type("demo", demo, Demonstration)
     frames = np.hstack([with_diff(demo.human_pos), with_diff(demo.robot_pos)])
     return FeatureSequence(frames, standard_split())
 
@@ -303,6 +323,7 @@ def _position_dims(robot_idx: Sequence[int]) -> list[int]:
 
 def sample_batch(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random split into n training demos and the remainder."""
+    _check_type("ds", ds, Dataset)
     _check_arg("n", n, "int", 1)
     _check_arg("seed", seed, "int", 0)
     if n > len(ds.demos):

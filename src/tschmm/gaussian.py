@@ -7,18 +7,18 @@ Covariance matrices are never inverted explicitly. Densities are evaluated
 in log space so that products over long observation sequences do not
 underflow. Prediction and `log_density` take `_log_densities`, whose rows
 depend on their own point alone; EM takes the faster `hmm._log_emissions`.
+Arrays and index lists are checked by `data`'s rules, not in this module.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .data import _float_array
+from .data import _float_array, _index_tuple
 
 __all__ = [
     "GaussianState",
@@ -45,6 +45,8 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
 
+    # an asymmetry beyond the float range reads inf, and is refused
+    @np.errstate(over="ignore")
     def __post_init__(self):
         mean = np.atleast_1d(_float_array("mean", self.mean))
         cov = np.atleast_2d(_float_array("cov", self.cov))
@@ -56,8 +58,6 @@ class GaussianState:
             raise ValueError(
                 f"mean has length {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("mean and cov must be finite")
         if np.max(np.abs(cov - cov.T), initial=0.0) > _SYMMETRY_ATOL:
             raise ValueError("cov must be symmetric to within 1e-12")
         mean.setflags(write=False)
@@ -134,22 +134,9 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 
-def _check_index_list(idx: Sequence[int], dim: int, name: str = "idx") -> np.ndarray:
-    if np.ndim(idx) != 1 or np.size(idx) == 0:
-        raise ValueError(f"{name} must be a non-empty index list")
-    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in idx):
-        raise ValueError(f"{name} must hold integers, got {list(idx)!r}")
-    idx = np.asarray(idx, dtype=int)
-    if np.any(idx < 0) or np.any(idx >= dim):
-        raise ValueError(f"{name} contains out-of-range entries for dimension {dim}")
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError(f"{name} must be strictly increasing with no duplicates")
-    return idx
-
-
 def marginalize(g: GaussianState, idx: Sequence[int]) -> GaussianState:
     """Marginal distribution over the selected dimensions."""
-    idx = _check_index_list(idx, g.dim)
+    idx = list(_index_tuple("idx", idx, g.dim))
     return GaussianState(g.mean[idx], g.cov[np.ix_(idx, idx)])
 
 

@@ -26,10 +26,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import DimensionSplit, FeatureSequence, _check_arg, _check_type, _float_array
+from .data import (DimensionSplit, FeatureSequence, _check_arg, _check_type, _float_array,
+                   _index_tuple, _sequence)
 from .gaussian import (
     GaussianState,
-    _check_index_list,
     _cholesky,
     _conditional_affine,
     _log_densities,
@@ -74,27 +74,26 @@ class HmmModel:
     emissions: tuple[GaussianState, ...]
     split: DimensionSplit
 
+    # a sum beyond the float range reads inf, and is refused
+    @np.errstate(over="ignore")
     def __post_init__(self):
         priors = _float_array("priors", self.priors)
         trans = _float_array("transitions", self.transitions)
-        if not np.iterable(self.emissions):
-            kind = type(self.emissions).__name__
-            raise ValueError(f"emissions must be a sequence of GaussianState, got {kind}")
-        emissions = tuple(self.emissions)
+        emissions = _sequence("emissions", self.emissions, "GaussianState")
         for i, g in enumerate(emissions):
             _check_type(f"emissions[{i}]", g, GaussianState)
         _check_type("split", self.split, DimensionSplit)
         if priors.ndim != 1 or priors.size == 0:
             raise ValueError("priors must be a non-empty vector")
         s = priors.size
-        if not np.all(np.isfinite(priors)) or np.any(priors < 0):
-            raise ValueError("priors must be finite and non-negative")
+        if np.any(priors < 0):
+            raise ValueError("priors must be non-negative")
         if abs(priors.sum() - 1.0) > _SIMPLEX_ATOL:
             raise ValueError(f"priors sum to {float(priors.sum())!r}, expected 1")
         if trans.shape != (s, s):
             raise ValueError(f"transitions must be {s}x{s}, got {trans.shape}")
-        if not np.all(np.isfinite(trans)) or np.any(trans < 0):
-            raise ValueError("transitions must be finite and non-negative")
+        if np.any(trans < 0):
+            raise ValueError("transitions must be non-negative")
         row_err = np.max(np.abs(trans.sum(axis=1) - 1.0))
         if row_err > _SIMPLEX_ATOL:
             raise ValueError(f"transition rows deviate from 1 by {float(row_err)!r}")
@@ -163,22 +162,23 @@ class ForwardResult:
         object.__setattr__(self, "log_alpha", la)
 
 
-def _frames_of(obs) -> np.ndarray:
-    """Accept a FeatureSequence or a raw (T, D) array."""
-    frames = obs.frames if isinstance(obs, FeatureSequence) else _float_array("observations", obs)
+def _frames_of(name: str, obs, width: int | None) -> np.ndarray:
+    """The frames of `obs`, a FeatureSequence or an array, as a non-empty (T, width)
+    matrix (any width if None): the package's one rule for frame matrices."""
+    frames = obs.frames if isinstance(obs, FeatureSequence) else _float_array(name, obs)
     if frames.ndim != 2 or frames.shape[0] == 0:
-        raise ValueError("observations must be a non-empty (T, D) matrix")
-    if not np.all(np.isfinite(frames)):
-        raise ValueError("observations must be finite")
+        raise ValueError(f"{name} must be a non-empty (T, D) matrix")
+    if width is not None and frames.shape[1] != width:
+        raise ValueError(f"{name} has dimension {frames.shape[1]}, expected {width}")
     return frames
 
 
-def _demo_frames(demos: Sequence, dim: int) -> list[np.ndarray]:
-    """Each demo's frames, checked to have `dim` columns."""
-    seqs = [_frames_of(d) for d in demos]
-    for k, seq in enumerate(seqs):
-        if seq.shape[1] != dim:
-            raise ValueError(f"demo {k} has dimension {seq.shape[1]}, expected {dim}")
+def _demo_frames(demos: Sequence, dim: int | None) -> list[np.ndarray]:
+    """Each demo's frames, checked to be `dim` wide (demo 0's width if None)."""
+    seqs = []
+    for k, demo in enumerate(_sequence("demos", demos, "frame matrices")):
+        seqs.append(_frames_of(f"demo {k}", demo, dim))
+        dim = seqs[0].shape[1]
     return seqs
 
 
@@ -360,12 +360,8 @@ def forward(model: HmmModel, obs, dims: Sequence[int] | None = None) -> ForwardR
     `dims` (all model dimensions when dims is None).
     """
     _check_type("model", model, HmmModel)
-    frames = _frames_of(obs)
-    dims = _check_index_list(range(model.dim) if dims is None else dims, model.dim, "dims")
-    if frames.shape[1] != len(dims):
-        raise ValueError(
-            f"observations have {frames.shape[1]} dims but {len(dims)} were requested"
-        )
+    dims = list(_index_tuple("dims", range(model.dim) if dims is None else dims, model.dim))
+    frames = _frames_of("obs", obs, len(dims))
     log_b = _log_emissions(model, frames, dims)
     passes = _forward_backward(model.priors, model.transitions, log_b, np.array([len(frames)]))
     log_cum = np.cumsum(passes.log_c)  # flattens the (1, T) constants of a batch of one
@@ -383,23 +379,19 @@ def init_temporal_bins(demos: Sequence, num_states: int, eps: float) -> HmmModel
     """
     _check_arg("num_states", num_states, "int", 1)
     _check_arg("eps", eps, "float", 0)
-    demos = list(demos)
-    if not demos:
+    demos = _sequence("demos", demos, "frame matrices")  # read twice: frames, then splits
+    seqs = _demo_frames(demos, None)
+    if not seqs:
         raise ValueError("demo list is empty")
-    seqs = _demo_frames(demos, _frames_of(demos[0]).shape[1])
-    split = None
-    for k, (demo, seq) in enumerate(zip(demos, seqs)):
+    for k, seq in enumerate(seqs):
         if len(seq) < num_states:
             raise ValueError(
                 f"demo {k} has {len(seq)} frames, fewer than {num_states} bins"
             )
-        if isinstance(demo, FeatureSequence):
-            if split is None:
-                split = demo.split
-            elif demo.split != split:
-                raise ValueError("demos carry inconsistent dimension splits")
-    if split is None:
-        split = DimensionSplit(tuple(range(seqs[0].shape[1])), ())
+    splits = {demo.split for demo in demos if isinstance(demo, FeatureSequence)}
+    if len(splits) > 1:
+        raise ValueError("demos carry inconsistent dimension splits")
+    split = splits.pop() if splits else DimensionSplit(tuple(range(seqs[0].shape[1])), ())
 
     bins: list[list[np.ndarray]] = [[] for _ in range(num_states)]
     for seq in seqs:
@@ -523,11 +515,11 @@ def baum_welch(
     when a regularized update would lower the likelihood (the update is then
     discarded, keeping the history non-decreasing).
     """
+    _check_type("model", model, HmmModel)
     _check_em_args(max_iter, tol, eps)
-    demos = list(demos)
-    if not demos:
-        raise ValueError("demo list is empty")
     seqs = _demo_frames(demos, model.dim)
+    if not seqs:
+        raise ValueError("demo list is empty")
 
     pooled = np.vstack(seqs)
     lengths = np.array([len(seq) for seq in seqs])
@@ -569,13 +561,7 @@ def _human_frames(model: HmmModel, human_obs) -> np.ndarray:
     """The (T, D_human) frames that regression conditions on, checked
     against the model's split."""
     _check_split(model)
-    human_idx = model.split.human_idx
-    frames = _frames_of(human_obs)
-    if frames.shape[1] != len(human_idx):
-        raise ValueError(
-            f"human observations have {frames.shape[1]} dims, expected {len(human_idx)}"
-        )
-    return frames
+    return _frames_of("human_obs", human_obs, len(model.split.human_idx))
 
 
 def _human_marginal(model: HmmModel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureSequence, _check_arg, _check_type
+from .data import FeatureSequence, _check_arg, _check_type, _float_array
 from .hmm import (
     HmmModel,
     TrainingError,
@@ -80,7 +80,9 @@ def dilate_mask(mask, w: int) -> np.ndarray:
     """Widen every true entry by w frames on each side, clipped to bounds."""
     _check_arg("window", w, "int", 0)
     w = int(w)
-    mask = np.asarray(mask, dtype=bool)
+    mask = _float_array("mask", mask) != 0.0
+    if mask.ndim != 1:
+        raise ValueError("mask must be a 1-D sequence of truth values")
     if w == 0 or mask.size == 0:
         return mask.copy()
     # a window of T - 1 already reaches every frame from every frame
@@ -115,6 +117,7 @@ def detect_transition_states(
     Returns the pooled joint observations at masked frames as an (N, D)
     array plus one dilated boolean mask per demo.
     """
+    _check_type("base", base, HmmModel)
     _check_arg("window", w, "int", 0)
     seqs = _demo_frames(demos, base.dim)
     if not seqs:
@@ -146,6 +149,7 @@ def fit(
     separate training sequences so no artificial transitions appear between
     unrelated events. `demos` may be any iterable; it is read once.
     """
+    _check_type("base", base, HmmModel)
     _check_arg("num_states", num_states, "int", 1)
     _check_em_args(max_iter, tol, eps)
     seqs = _demo_frames(demos, base.dim)

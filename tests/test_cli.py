@@ -411,7 +411,7 @@ def _set_split(hmm_doc, human_idx, robot_idx):
         (lambda m: m["base"]["priors"].__setitem__(0, m["base"]["priors"][0] + 0.5),
          r"model\.base: priors sum to 1\.[0-9]+, expected 1"),
         (lambda m: m["transition"]["emissions"][0]["mean"].__setitem__(2, float("nan")),
-         r"model\.transition\.emissions\[0\]: mean and cov must be finite"),
+         r"model\.transition\.emissions\[0\]\.mean must be finite"),
         (lambda m: m["base"]["emissions"].pop(),
          r"model\.base: expected 3 emissions, got 2"),
         (lambda m: _set_split(m["transition"], list(range(7)), list(range(7, 12))),

@@ -11,6 +11,7 @@ import pytest
 from tschmm import data, tsc
 from tschmm.data import (
     CSV_COLUMNS,
+    Dataset,
     Demonstration,
     DimensionSplit,
     FeatureSequence,
@@ -365,4 +366,43 @@ def test_every_count_and_tolerance_is_checked_by_one_rule(small, entry, name, ki
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
+                call(small, value)
+
+
+FLOAT_ARGS = [args for args in RULED_ARGS if args[2] == "float"]
+
+
+@pytest.mark.parametrize("entry, name, kind, least, call", FLOAT_ARGS,
+                         ids=[f"{entry}-{name}" for entry, name, *_ in FLOAT_ARGS])
+def test_a_float_argument_must_fit_the_float_range(small, entry, name, kind, least, call):
+    # an int past the float range compares below inf, so it used to pass
+    # the rule and fail later with OverflowError
+    with pytest.raises(ValueError, match=f"^{name} must be float >= {least}, got 1000"):
+        call(small, 10**400)
+
+
+# (entry point, argument as messages name it, call with the value)
+TYPED_ARGS = [
+    ("baum_welch", "model", lambda s, v: baum_welch(v, s.feats)),
+    ("baum_welch", "demos", lambda s, v: baum_welch(s.base, v)),
+    ("init_temporal_bins", "demos", lambda s, v: init_temporal_bins(v, 2, 0.1)),
+    ("tsc.fit", "base", lambda s, v: tsc.fit(v, s.feats)),
+    ("tsc.fit", "demos", lambda s, v: tsc.fit(s.base, v)),
+    ("detect_transition_states", "base", lambda s, v: tsc.detect_transition_states(v, s.feats, 1)),
+    ("detect_transition_states", "demos", lambda s, v: tsc.detect_transition_states(s.base, v, 1)),
+    ("FeatureSequence", "split", lambda s, v: FeatureSequence(s.feats[0].frames, v)),
+    ("build_features", "demo", lambda s, v: build_features(v)),
+    ("sample_batch", "ds", lambda s, v: sample_batch(v, 1, 0)),
+    ("Dataset", "demos", lambda s, v: Dataset(v)),
+]
+
+
+@pytest.mark.parametrize("entry, name, call", TYPED_ARGS,
+                         ids=[f"{entry}-{name}" for entry, name, _ in TYPED_ARGS])
+def test_an_argument_of_the_wrong_type_is_named(small, entry, name, call):
+    # each of these raised AttributeError or TypeError, or named no argument
+    for value in (None, "x", 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be "):
                 call(small, value)

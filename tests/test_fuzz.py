@@ -1,5 +1,5 @@
 """Seeded fuzz of model files and dataset CSVs through the command line,
-and of the prediction entry points of the library.
+and of the prediction, training and constructor entry points of the library.
 
 Each command-line example mutates a saved model or a small dataset CSV
 (truncation, a deleted key, a value of the wrong kind, a byte that is not
@@ -10,8 +10,13 @@ names it, never with exit 1 or a traceback.
 Each library example hands `gmr_predict`, `tsc.predict`, `forward` or
 `viterbi_labels` observations of the wrong type, shape or width, with NaN,
 inf or finite values up to the float limit, or dimension lists of the wrong
-kind. The call must return, or raise ValueError, TrainingError or
-LinAlgError with a message, and must not warn. The examples are
+kind. Each training or constructor example makes one argument of a valid
+call to `init_temporal_bins`, `baum_welch`, `tsc.fit`,
+`detect_transition_states`, `dilate_mask` or a model or data type wrong:
+another type, an array cell made NaN, inf or huge, an array emptied, made
+ragged or cut by a column, or an entry of a list made wrong in turn. The
+call must return, or raise ValueError, TrainingError or LinAlgError (a
+ValueError) with a message, and must not warn. The examples are
 derandomized, so every run tries the same inputs.
 """
 
@@ -25,9 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tschmm import tsc
 from tschmm.cli import main
-from tschmm.data import Dataset, Demonstration, build_features, save_csv, synth_generate
-from tschmm.hmm import TrainingError, forward, gmr_predict, init_temporal_bins, viterbi_labels
+from tschmm.data import (Dataset, Demonstration, DimensionSplit, FeatureSequence, build_features,
+                         save_csv, synth_generate)
+from tschmm.gaussian import GaussianState
+from tschmm.hmm import (HmmModel, TrainingError, baum_welch, forward, gmr_predict,
+                        init_temporal_bins, viterbi_labels)
 from tschmm.model_io import save_model
 from tschmm.tsc import TscModel, predict
 
@@ -229,4 +238,87 @@ def test_prediction_entry_point_returns_or_fails_with_a_message(model, name, dat
         try:
             call(target, obs, *args)
         except (ValueError, TrainingError, np.linalg.LinAlgError) as exc:
+            assert str(exc)
+
+
+# --- training entry points and constructors ---------------------------------
+
+# values of the wrong kind or range for any argument: text, nothing, bools,
+# numbers where arrays belong and the reverse, empty and ragged lists, and
+# numbers that are not finite or do not fit a float
+WRONG_ARGS = ["text", b"\x00", None, True, False, 0, 3, -1, 2.5, {}, [], [[]], [True, False],
+              [[0.0, 1.0], [0.0]], np.nan, np.inf, 1e308, 10**400]
+
+
+def _mutated(data, value, others):
+    """`value` with one part made wrong: a value of WRONG_ARGS or `others`
+    in its place; for a float array one cell or every cell made extreme, or
+    the array emptied, made ragged or cut by a column; for a list or tuple
+    one entry made wrong in turn."""
+    if isinstance(value, np.ndarray) and value.dtype == float and value.size:
+        how = data.draw(st.sampled_from(["cell", "fill", "empty", "ragged", "column", "wrong"]))
+        if how in ("cell", "fill"):
+            out = value.astype(object)
+            cell = data.draw(st.sampled_from(CELLS) | st.floats(width=64))
+            if how == "fill":
+                out[...] = cell
+            else:
+                out.flat[data.draw(st.integers(0, out.size - 1))] = cell
+            return out
+        if how == "empty":
+            return value[:0]
+        if how == "ragged" and value.ndim == 2:
+            rows = value.tolist()
+            rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+            return rows
+        if how == "column":
+            return value[..., :-1]
+    elif isinstance(value, (list, tuple)) and value and data.draw(st.booleans()):
+        out = list(value)
+        i = data.draw(st.integers(0, len(out) - 1))
+        out[i] = _mutated(data, out[i], others)
+        return type(value)(out)
+    return data.draw(st.sampled_from(WRONG_ARGS + others))
+
+
+def _training_calls(model, feats):
+    """Per entry point, the callable and the arguments of a valid call."""
+    base = model.base
+    g = base.emissions[0]
+    demos = [f.frames for f in feats]
+    return {
+        "GaussianState": (GaussianState, [g.mean, g.cov]),
+        "HmmModel": (HmmModel, [base.priors, base.transitions, list(base.emissions), base.split]),
+        "TscModel": (TscModel, [base, model.transition, 2]),
+        "DimensionSplit": (DimensionSplit, [(0, 1, 2), (3, 4)]),
+        "Demonstration": (Demonstration, [demos[0][:, :3], demos[0][:, 6:9]]),
+        "FeatureSequence": (FeatureSequence, [demos[0], base.split]),
+        "init_temporal_bins": (init_temporal_bins, [demos, 2, 1e-2]),
+        "baum_welch": (baum_welch, [base, demos, 2, 1e-4, 1e-2]),
+        "tsc.fit": (tsc.fit, [base, demos, 2, 2, 1e-2, 2, 1e-4]),
+        "detect_transition_states": (tsc.detect_transition_states, [base, demos, 2]),
+        "dilate_mask": (tsc.dilate_mask, [(np.arange(16) % 3 == 0).astype(float), 2]),
+    }
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["GaussianState", "HmmModel", "TscModel", "DimensionSplit",
+                                  "Demonstration", "FeatureSequence", "init_temporal_bins",
+                                  "baum_welch", "tsc.fit", "detect_transition_states",
+                                  "dilate_mask"])
+def test_training_entry_point_returns_or_fails_with_a_message(short, model, name, data):
+    feats = [build_features(d) for d in short.demos]
+    call, args = _training_calls(model, feats)[name]
+    # the wrong model type, and a model, a split or frames of another split
+    # where an array or a list belongs
+    others = [model, model.base, model.base.emissions[0], model.base.split,
+              feats[0].restrict(range(6))]
+    at = data.draw(st.integers(0, len(args) - 1))
+    args[at] = _mutated(data, args[at], others)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except (ValueError, TrainingError) as exc:
             assert str(exc)

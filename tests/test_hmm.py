@@ -205,7 +205,7 @@ def test_overflowing_residuals_give_density_zero_without_a_warning():
 
 
 def test_forward_validates_observation_width():
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match="dimension"):
         forward(hand_model(), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="non-empty"):
         forward(hand_model(), np.zeros((0, 1)))

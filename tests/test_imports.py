@@ -2,8 +2,9 @@
 top-level private name a module defines is used somewhere in the package,
 every name a module exports in `__all__` is defined in that module, no
 module reaches `scipy.linalg.solve_triangular` around the one solve helper,
-no `np.einsum` call passes `optimize`, and `gaussian._log_density`, the
-per-state density that prediction's stacked kernel replaced, stays gone.
+no `np.einsum` call passes `optimize`, `gaussian._log_density`, the
+per-state density that prediction's stacked kernel replaced, stays gone, and
+each input rule's message is raised by the one function that holds the rule.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -223,3 +224,49 @@ def test_the_check_finds_each_way_to_bring_back_log_density():
               "from .gaussian import _log_density\ngaussian._log_density(x)\n"
               "_log_densities(x)\n")
     assert _log_density_uses(source) == ["line 2", "line 4", "line 5"]
+
+
+# a fragment of each input rule's message: finite arrays (`data._float_array`)
+# and integer, increasing index lists (`data._index_tuple`)
+RULE_FRAGMENTS = ("must be finite", "must hold integers", "must be strictly increasing")
+
+
+def _rule_raisers(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Per rule fragment, `module: function` for each function (a method
+    as `Class.method`) with a `raise ValueError(...)` whose text holds it."""
+    found = {fragment: set() for fragment in RULE_FRAGMENTS}
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ValueError"):
+            text = "".join(n.value for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            for fragment, functions in found.items():
+                if fragment in text:
+                    functions.add(f"{module}: {'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return found
+
+
+def test_each_input_rule_is_raised_by_one_function():
+    raisers = _rule_raisers({p.name: p.read_text(encoding="utf-8") for p in SOURCES})
+    assert all(len(functions) == 1 for functions in raisers.values()), raisers
+
+
+def test_the_check_finds_a_rule_message_raised_in_two_functions():
+    sources = {
+        "a.py": 'def f(x):\n    raise ValueError(f"{x} must be finite")\n\n'
+                'class C:\n    def g(self):\n'
+                '        raise ValueError("y must be finite and positive")\n',
+        "b.py": 'def h(n):\n    if n:\n        raise ValueError(n + " must hold integers")\n'
+                '    raise TypeError("z must be strictly increasing")\n',
+    }
+    assert _rule_raisers(sources) == {"must be finite": {"a.py: f", "a.py: C.g"},
+                                      "must hold integers": {"b.py: h"},
+                                      "must be strictly increasing": set()}

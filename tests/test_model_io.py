@@ -178,7 +178,7 @@ def test_load_names_a_mistyped_key(tmp_path):
     doc["model"]["window"] = 2
     doc["model"]["base"]["split"]["robot_idx"] = [2, 3.5]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"split\.robot_idx must hold only integers"):
+    with pytest.raises(ValueError, match=r"split\.robot_idx must hold integers"):
         load_model(path)
     doc["model"] = None
     path.write_text(json.dumps(doc))

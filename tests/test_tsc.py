@@ -105,6 +105,16 @@ def test_dilate_rejects_negative_window():
         dilate_mask(np.zeros(3, dtype=bool), -1)
 
 
+def test_dilate_takes_a_one_dimensional_mask_only():
+    # a 0-d mask used to come back as a 0-d array, a 2-D one as numpy's
+    # "object too deep for desired array"
+    for bad in (None, "abc", True, [[True, False]], np.zeros((2, 3), dtype=bool),
+                [[True], [True, False]]):
+        with pytest.raises(ValueError, match="^mask must "):
+            dilate_mask(bad, 1)
+    assert dilate_mask([], 1).tolist() == []
+
+
 def test_window_must_be_a_non_negative_integer():
     base = _excursion_base()
     model = TscModel(base=base, transition=None, window=np.int64(3))
@@ -733,7 +743,7 @@ def test_predict_rejects_what_gmr_predict_rejects():
     base = _excursion_base()
     flat = HmmModel(base.priors, base.transitions, base.emissions, DimensionSplit((0, 1), ()))
     cases = [
-        (base, "human observations have 2 dims, expected 1"),
+        (base, "human_obs has dimension 2, expected 1"),
         (flat, "model split must include human and robot dimensions"),
     ]
     for hmm_model, message in cases:
