@@ -162,9 +162,8 @@ def cmd_train(args) -> int:
     try:
         init = init_temporal_bins(feats, args.base_states, args.reg_eps)
         base, history = baum_welch(init, feats, args.max_iter, args.tol, args.reg_eps)
-        seqs = [f.frames for f in feats]
-        samples, masks = detect_transition_states(base, seqs, args.window)
-        model = tsc._fit_detected(base, seqs, samples, masks, args.tsc_states,
+        samples, masks = detect_transition_states(base, feats, args.window)
+        model = tsc._fit_detected(base, samples, masks, args.tsc_states,
                                   args.window, args.reg_eps, args.max_iter, args.tol)
     except np.linalg.LinAlgError:
         raise  # a ValueError too, but a training failure (exit 3)

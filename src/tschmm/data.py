@@ -64,9 +64,9 @@ class DimensionSplit:
 
     def restrict(self, dims: Sequence[int]) -> "DimensionSplit":
         """Split over the subspace selected by `dims`, with remapped positions."""
-        dims = [int(d) for d in dims]
-        human = tuple(p for p, d in enumerate(dims) if d in set(self.human_idx))
-        robot = tuple(p for p, d in enumerate(dims) if d in set(self.robot_idx))
+        dims = _index_tuple("dims", dims, self.dim)
+        human = tuple(p for p, d in enumerate(dims) if d in self.human_idx)
+        robot = tuple(p for p, d in enumerate(dims) if d in self.robot_idx)
         return DimensionSplit(human, robot)
 
 
@@ -191,8 +191,8 @@ class FeatureSequence:
 
     def restrict(self, dims: Sequence[int]) -> "FeatureSequence":
         """Sub-sequence over the selected dimensions, split remapped."""
-        dims = list(dims)
-        return FeatureSequence(self.frames[:, dims], self.split.restrict(dims))
+        dims = _index_tuple("dims", dims, self.width)
+        return FeatureSequence(self.frames[:, list(dims)], self.split.restrict(dims))
 
 
 @dataclass(frozen=True)

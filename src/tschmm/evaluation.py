@@ -15,8 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import tsc
-from .data import (Dataset, FeatureSequence, _check_arg, _position_dims, build_features,
-                   sample_batch)
+from .data import (Dataset, FeatureSequence, _check_arg, _check_type, _position_dims,
+                   build_features, sample_batch)
 from .hmm import TrainingError, baum_welch, gmr_predict, init_temporal_bins
 
 __all__ = [
@@ -74,6 +74,8 @@ class ExperimentReport:
 
 def mse(pred: FeatureSequence, truth: FeatureSequence) -> float:
     """Mean squared error over robot position dims, in centimeters."""
+    _check_type("pred", pred, FeatureSequence)
+    _check_type("truth", truth, FeatureSequence)
     if pred.frames.shape != truth.frames.shape:
         raise ValueError(
             f"shape mismatch: {pred.frames.shape} vs {truth.frames.shape}"
@@ -90,6 +92,7 @@ def mse(pred: FeatureSequence, truth: FeatureSequence) -> float:
 
 def run_single(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[float, float]:
     """Train on a seeded batch, score both predictors on the held-out demos."""
+    _check_type("cfg", cfg, ExperimentConfig)
     train, test = sample_batch(ds, cfg.batch_size, seed)
     if not len(test):
         raise ValueError("no demonstrations left for evaluation after the batch")
@@ -118,6 +121,7 @@ def run_single(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[float, fl
 
 def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     """Aggregate run_single over seeds 0..n_seeds-1; failed seeds are counted."""
+    _check_type("cfg", cfg, ExperimentConfig)
     results = []
     failed = 0
     for seed in range(cfg.n_seeds):

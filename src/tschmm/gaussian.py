@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .data import _float_array, _index_tuple
+from .data import _check_type, _float_array, _index_tuple
 
 __all__ = [
     "GaussianState",
@@ -125,7 +125,10 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     `x` may be a single vector of length D or an (N, D) batch; returns a
     scalar or an (N,) array correspondingly.
     """
-    x = np.asarray(x, dtype=float)
+    _check_type("g", g, GaussianState)
+    x = _float_array("x", x)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must be a vector or an (N, D) matrix, got {x.ndim} axes")
     pts = np.atleast_2d(x)
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
@@ -136,6 +139,7 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
 
 def marginalize(g: GaussianState, idx: Sequence[int]) -> GaussianState:
     """Marginal distribution over the selected dimensions."""
+    _check_type("g", g, GaussianState)
     idx = list(_index_tuple("idx", idx, g.dim))
     return GaussianState(g.mean[idx], g.cov[np.ix_(idx, idx)])
 

@@ -62,11 +62,6 @@ class TscModel:
         object.__setattr__(self, "window", int(self.window))
         if self.transition is not None:
             _check_type("transition", self.transition, HmmModel)
-            if self.transition.dim != self.base.dim:
-                raise ValueError(
-                    f"transition HMM dimension {self.transition.dim} "
-                    f"differs from base {self.base.dim}"
-                )
             if self.transition.split != self.base.split:
                 raise ValueError("transition HMM split differs from the base split")
 
@@ -83,7 +78,7 @@ def dilate_mask(mask, w: int) -> np.ndarray:
     mask = _float_array("mask", mask) != 0.0
     if mask.ndim != 1:
         raise ValueError("mask must be a 1-D sequence of truth values")
-    if w == 0 or mask.size == 0:
+    if mask.size == 0:
         return mask.copy()
     # a window of T - 1 already reaches every frame from every frame
     w = min(w, mask.size - 1)
@@ -127,10 +122,10 @@ def detect_transition_states(
     return pooled, masks
 
 
-def _masked_runs(frames: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """Contiguous masked stretches as separate short sequences."""
+def _run_lengths(mask: np.ndarray) -> np.ndarray:
+    """Lengths of the contiguous masked stretches, in order."""
     edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return [frames[a:b] for a, b in zip(edges[::2], edges[1::2])]
+    return edges[1::2] - edges[::2]
 
 
 def fit(
@@ -149,17 +144,14 @@ def fit(
     separate training sequences so no artificial transitions appear between
     unrelated events. `demos` may be any iterable; it is read once.
     """
-    _check_type("base", base, HmmModel)
     _check_arg("num_states", num_states, "int", 1)
     _check_em_args(max_iter, tol, eps)
-    seqs = _demo_frames(demos, base.dim)
-    samples, masks = detect_transition_states(base, seqs, w)
-    return _fit_detected(base, seqs, samples, masks, num_states, w, eps, max_iter, tol)
+    samples, masks = detect_transition_states(base, demos, w)
+    return _fit_detected(base, samples, masks, num_states, w, eps, max_iter, tol)
 
 
 def _fit_detected(
     base: HmmModel,
-    seqs: list[np.ndarray],
     samples: np.ndarray,
     masks: list[np.ndarray],
     num_states: int,
@@ -179,11 +171,9 @@ def _fit_detected(
         )
         return TscModel(base=base, transition=None, window=w)
 
-    runs = [
-        FeatureSequence(r, base.split)
-        for frames, mask in zip(seqs, masks)
-        for r in _masked_runs(frames, mask)
-    ]
+    # each demo's masked stretches lie back to back in `samples`
+    lengths = np.concatenate([_run_lengths(m) for m in masks])
+    runs = [FeatureSequence(r, base.split) for r in np.split(samples, np.cumsum(lengths)[:-1])]
     # bins need sequences at least num_states long; short corpora fall back
     # to initializing from the pooled samples as one stretch
     init_runs = [r for r in runs if len(r) >= num_states]

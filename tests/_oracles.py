@@ -208,3 +208,13 @@ def tsc_predict(base, trans, human_idx, frames):
     gate = rows.copy()
     gate[fire] = np.einsum("ts,tsr->tr", _softmax(log_bt[fire]), cond_t[fire])
     return rows, gate, margin
+
+
+def masked_runs(seqs, masks):
+    """The transition HMM's training runs, cut demo by demo: each contiguous
+    stretch of each demo's frames where its mask is true, in order."""
+    runs = []
+    for frames, mask in zip(seqs, masks):
+        edges = np.flatnonzero(np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0))
+        runs += [frames[a:b] for a, b in zip(edges[::2], edges[1::2])]
+    return runs

@@ -22,7 +22,8 @@ import pytest
 
 from tschmm import cli, hmm, tsc
 from tschmm.cli import main
-from tschmm.data import Dataset, Demonstration, build_features, load_csv, save_csv
+from tschmm.data import (Dataset, Demonstration, FeatureSequence, build_features, load_csv,
+                         save_csv)
 from tschmm.evaluation import REPORT_COLUMNS, ExperimentConfig, mse
 from tschmm.hmm import HmmModel, init_temporal_bins, viterbi_labels
 from tschmm.model_io import load_model, save_model
@@ -131,6 +132,23 @@ def test_train_detects_transition_states_once(workdir, data_csv, monkeypatch):
     assert rc == 0
     assert len(found) == 1
     assert f"transition samples: {len(found[0])}" in out
+
+
+def test_train_hands_detection_the_feature_sequences(workdir, data_csv, monkeypatch):
+    seen = []
+
+    def recording(base, demos, w):
+        seen.extend(demos)
+        return tsc.detect_transition_states(base, demos, w)
+
+    monkeypatch.setattr(cli, "detect_transition_states", recording)
+    rc, _, _ = run_cli("train", "--data", str(data_csv), "--states", "3",
+                       "--tsc-states", "2", "--max-iter", "3",
+                       "--out", str(workdir / "handed.json"))
+    assert rc == 0
+    assert len(seen) == 6 and all(isinstance(d, FeatureSequence) for d in seen)
+    # a FeatureSequence's frames are read in place: detection copies none
+    assert all(f is d.frames for f, d in zip(hmm._demo_frames(seen, None), seen))
 
 
 def test_predict_writes_one_row_per_frame(workdir, data_csv, trained):

@@ -23,7 +23,8 @@ from tschmm.data import (
     standard_split,
     synth_generate,
 )
-from tschmm.evaluation import ExperimentConfig
+from tschmm.evaluation import ExperimentConfig, mse, run_experiment, run_single
+from tschmm.gaussian import log_density, marginalize
 from tschmm.hmm import baum_welch, init_temporal_bins
 
 
@@ -88,6 +89,22 @@ def test_feature_sequence_accessors_and_restrict():
     assert sub.split.human_idx == (0,)
     assert sub.split.robot_idx == (1,)
     assert np.array_equal(sub.frames, frames[:, [0, 6]])
+
+
+@pytest.mark.parametrize("dims, message", [
+    ([99], "contains out-of-range entries for dimension 12"),
+    ([-1], "contains out-of-range entries for dimension 12"),
+    ([], "must be a non-empty index list"),
+    (None, "must be a sequence of integers, got NoneType"),
+    ([0.5], "must hold integers"),
+    ([6, 0], "must be strictly increasing"),
+])
+def test_restrict_reads_dims_by_the_index_rule(dims, message):
+    # an out-of-range dim used to give an empty split or numpy's IndexError
+    feat = FeatureSequence(np.zeros((2, 12)), standard_split())
+    for restrict in (feat.split.restrict, feat.restrict):
+        with pytest.raises(ValueError, match=f"^dims {re.escape(message)}$"):
+            restrict(dims)
 
 
 def test_feature_sequence_rejects_width_mismatch():
@@ -394,6 +411,12 @@ TYPED_ARGS = [
     ("build_features", "demo", lambda s, v: build_features(v)),
     ("sample_batch", "ds", lambda s, v: sample_batch(v, 1, 0)),
     ("Dataset", "demos", lambda s, v: Dataset(v)),
+    ("mse", "pred", lambda s, v: mse(v, s.feats[0])),
+    ("mse", "truth", lambda s, v: mse(s.feats[0], v)),
+    ("run_single", "cfg", lambda s, v: run_single(s.ds, v, 0)),
+    ("run_experiment", "cfg", lambda s, v: run_experiment(s.ds, v)),
+    ("log_density", "g", lambda s, v: log_density(np.zeros(2), v)),
+    ("marginalize", "g", lambda s, v: marginalize(v, [0])),
 ]
 
 

@@ -7,12 +7,13 @@ UTF-8, an oversize or non-numeric field, swapped rows) and runs the commands
 that read it. A malformed file must end with exit 2 and a message that
 names it, never with exit 1 or a traceback.
 
-Each library example hands `gmr_predict`, `tsc.predict`, `forward` or
-`viterbi_labels` observations of the wrong type, shape or width, with NaN,
-inf or finite values up to the float limit, or dimension lists of the wrong
-kind. Each training or constructor example makes one argument of a valid
-call to `init_temporal_bins`, `baum_welch`, `tsc.fit`,
-`detect_transition_states`, `dilate_mask` or a model or data type wrong:
+Each library example hands `gmr_predict`, `tsc.predict`, `forward`,
+`viterbi_labels`, `log_density` or `marginalize` observations of the wrong
+type, shape or width, with NaN, inf or finite values up to the float limit,
+dimension lists of the wrong kind, or a model of the wrong type. Each
+training or constructor example makes one argument of a valid call to
+`init_temporal_bins`, `baum_welch`, `tsc.fit`, `detect_transition_states`,
+`dilate_mask` or a model or data type wrong:
 another type, an array cell made NaN, inf or huge, an array emptied, made
 ragged or cut by a column, or an entry of a list made wrong in turn. The
 call must return, or raise ValueError, TrainingError or LinAlgError (a
@@ -34,7 +35,7 @@ from tschmm import tsc
 from tschmm.cli import main
 from tschmm.data import (Dataset, Demonstration, DimensionSplit, FeatureSequence, build_features,
                          save_csv, synth_generate)
-from tschmm.gaussian import GaussianState
+from tschmm.gaussian import GaussianState, log_density, marginalize
 from tschmm.hmm import (HmmModel, TrainingError, baum_welch, forward, gmr_predict,
                         init_temporal_bins, viterbi_labels)
 from tschmm.model_io import save_model
@@ -238,6 +239,31 @@ def test_prediction_entry_point_returns_or_fails_with_a_message(model, name, dat
         try:
             call(target, obs, *args)
         except (ValueError, TrainingError, np.linalg.LinAlgError) as exc:
+            assert str(exc)
+
+
+DENSITY_CALLS = {"log_density": lambda g, x: log_density(x, g), "marginalize": marginalize}
+
+
+@settings(FUZZ, max_examples=60)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(DENSITY_CALLS))
+def test_density_entry_point_returns_or_fails_with_a_message(model, name, data):
+    g = model.base.emissions[0]
+    if name == "marginalize":
+        arg, _ = _dims(data, model)
+    else:
+        arg = _observations(data, g.dim)
+        if isinstance(arg, np.ndarray) and arg.ndim == 2 and len(arg):
+            # one point, a batch, or a stack of batches
+            arg = data.draw(st.sampled_from([arg[0], arg, arg[None]]))
+    if data.draw(st.integers(0, 9)) == 0:
+        g = data.draw(st.sampled_from(["g", None, model.base, g.mean]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            DENSITY_CALLS[name](g, arg)
+        except (ValueError, np.linalg.LinAlgError) as exc:
             assert str(exc)
 
 

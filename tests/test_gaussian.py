@@ -109,6 +109,25 @@ def test_log_density_rejects_wrong_width():
         log_density(np.zeros((4, 3)), g)
 
 
+@pytest.mark.parametrize("x, message", [
+    ({}, "x must hold numbers"),
+    ("ab", "x must hold numbers"),
+    ([[0.0, 1.0], [0.0]], "x must hold numbers"),
+    ([np.nan, 0.0], "x must be finite"),
+    (np.zeros((2, 2, 2)), r"x must be a vector or an \(N, D\) matrix, got 3 axes"),
+    (0.0, r"x must be a vector or an \(N, D\) matrix, got 0 axes"),
+])
+def test_log_density_reads_x_by_the_array_rule(x, message):
+    g = GaussianState(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        log_density(x, g)
+
+
+def test_log_density_of_an_empty_batch_is_empty():
+    out = log_density(np.zeros((0, 2)), GaussianState(np.zeros(2), np.eye(2)))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 def test_gaussian_state_validates_inputs():
     with pytest.raises(ValueError, match="square"):
         GaussianState(np.zeros(2), np.zeros((2, 3)))

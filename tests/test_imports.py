@@ -226,9 +226,11 @@ def test_the_check_finds_each_way_to_bring_back_log_density():
     assert _log_density_uses(source) == ["line 2", "line 4", "line 5"]
 
 
-# a fragment of each input rule's message: finite arrays (`data._float_array`)
-# and integer, increasing index lists (`data._index_tuple`)
-RULE_FRAGMENTS = ("must be finite", "must hold integers", "must be strictly increasing")
+# a fragment of each input rule's message: finite arrays (`data._float_array`),
+# integer, increasing index lists (`data._index_tuple`), lists of inputs
+# (`data._sequence`) and frame matrices (`hmm._frames_of`)
+RULE_FRAGMENTS = ("must be finite", "must hold integers", "must be strictly increasing",
+                  "must be a sequence of", "must be a non-empty (T, D) matrix")
 
 
 def _rule_raisers(sources: dict[str, str]) -> dict[str, set[str]]:
@@ -269,4 +271,6 @@ def test_the_check_finds_a_rule_message_raised_in_two_functions():
     }
     assert _rule_raisers(sources) == {"must be finite": {"a.py: f", "a.py: C.g"},
                                       "must hold integers": {"b.py: h"},
-                                      "must be strictly increasing": set()}
+                                      "must be strictly increasing": set(),
+                                      "must be a sequence of": set(),
+                                      "must be a non-empty (T, D) matrix": set()}

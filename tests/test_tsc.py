@@ -228,6 +228,60 @@ def test_fit_on_demos_shorter_than_the_dilation_kernel():
     assert not fit(base, demos, num_states=2, w=2).fallback
 
 
+@pytest.mark.parametrize("as_arrays", [False, True])
+def test_fit_checks_each_demo_once(monkeypatch, as_arrays):
+    calls = []
+
+    def counted(demos, dim, _original=tsc._demo_frames):
+        calls.append(dim)
+        return _original(demos, dim)
+
+    monkeypatch.setattr(tsc, "_demo_frames", counted)
+    demos = [_excursion_demo(start=10 + k, stop=16 + k) for k in range(4)]
+    if as_arrays:
+        demos = [d.frames for d in demos]
+    assert not fit(_excursion_base(), demos, num_states=2, w=2).fallback
+    assert calls == [2]
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """Filled with the frames of the runs each transition `baum_welch` call gets."""
+    calls = []
+
+    def recording(model, demos, *args):
+        calls.append([d.frames for d in demos])
+        return baum_welch(model, demos, *args)
+
+    monkeypatch.setattr(tsc, "baum_welch", recording)
+    return calls
+
+
+def _bits(runs):
+    return [(r.shape, r.tobytes()) for r in runs]
+
+
+def test_transition_runs_meeting_at_a_demo_boundary_stay_apart(monkeypatch):
+    base = _excursion_base()
+    demos = [_excursion_demo(start=24, stop=30), _excursion_demo(start=0, stop=6)]
+    _, masks = detect_transition_states(base, demos, w=2)
+    # demo 0's mask ends on its last frame and demo 1's starts at frame 0
+    assert masks[0][-1] and masks[1][0]
+    calls = _recorded_runs(monkeypatch)
+    assert not fit(base, demos, num_states=2, w=2).fallback
+    expected = _oracles.masked_runs([d.frames for d in demos], masks)
+    assert len(expected) == 2
+    assert [_bits(runs) for runs in calls] == [_bits(expected)]
+
+
+def test_transition_runs_equal_the_per_demo_cut_bit_for_bit(criterion6_split, monkeypatch):
+    base, feats, _ = criterion6_split
+    _, masks = detect_transition_states(base, feats, w=2)
+    calls = _recorded_runs(monkeypatch)
+    assert not fit(base, feats, w=2).fallback
+    expected = _oracles.masked_runs([f.frames for f in feats], masks)
+    assert [_bits(runs) for runs in calls] == [_bits(expected)]
+
+
 def test_fit_and_detect_check_their_inputs_up_front():
     ds, _ = synth_generate("rocket_fistbump", n_demos=8, noise_sigma=0.005, seed=0)
     feats = [build_features(d) for d in ds.demos]
@@ -309,7 +363,7 @@ def test_tsc_model_invariants():
         emissions=(GaussianState([0.0], [[1.0]]),),
         split=DimensionSplit((0,), ()),
     )
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="split differs"):
         TscModel(base=base, transition=small, window=2)
     other = HmmModel(trans.priors, trans.transitions, trans.emissions, DimensionSplit((1,), (0,)))
     with pytest.raises(ValueError, match="split differs"):
