@@ -9,7 +9,6 @@ flags, so every command is deterministic given its arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -117,12 +116,7 @@ def cmd_synth(args) -> int:
     ds, boundaries = synth_generate(args.kind, args.n, args.noise, args.seed)
     save_csv(ds, args.out)
     side = _boundaries_path(args.out)
-    with open(side, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["demo_id", "t"])
-        for demo_id, bounds in enumerate(boundaries):
-            for t in bounds:
-                writer.writerow([demo_id, t])
+    data._write_csv(side, "demo_id,t", ([bounds] for bounds in boundaries))
     print(f"wrote {len(ds.demos)} {args.kind} demos to {args.out} "
           f"(boundaries in {side})")
     return 0
@@ -190,17 +184,10 @@ def cmd_predict(args) -> int:
     except TrainingError as exc:
         # e.g. a frame too far from every state to score: name the data file
         raise TrainingError(f"{args.data}: {exc}") from None
-    preds = np.split(rows, np.cumsum(lengths)[:-1])
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["demo_id", "t",
-                         "pred_x", "pred_y", "pred_z",
-                         "true_x", "true_y", "true_z"])
-        for demo_id, (demo, pred) in enumerate(zip(ds.demos, preds)):
-            positions = pred[:, data._position_dims(range(pred.shape[1]))]
-            rows = zip(positions.tolist(), demo.robot_pos.tolist())
-            for t, (pred_row, true_row) in enumerate(rows):
-                writer.writerow([demo_id, t, *map(repr, pred_row), *map(repr, true_row)])
+    positions = rows[:, data._position_dims(range(rows.shape[1]))]
+    tables = ([range(len(demo)), *pred.T.tolist(), *demo.robot_pos.T.tolist()]
+              for demo, pred in zip(ds.demos, np.split(positions, np.cumsum(lengths)[:-1])))
+    data._write_csv(args.out, "demo_id,t,pred_x,pred_y,pred_z,true_x,true_y,true_z", tables)
     print(f"wrote predictions for {len(ds.demos)} demos to {args.out}")
     return 0
 
@@ -211,14 +198,10 @@ def cmd_segment(args) -> int:
         labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
     except TrainingError as exc:
         raise TrainingError(f"{args.data}: {exc}") from None
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["demo_id", "t", "label_joint", "label_human",
-                         "mismatch", "windowed"])
-        for demo_id, (joint, human, windowed) in enumerate(zip(*labels)):
-            columns = (joint, human, (joint != human).astype(int), windowed.astype(int))
-            for t, row in enumerate(zip(*(c.tolist() for c in columns))):
-                writer.writerow([demo_id, t, *row])
+    tables = ([range(len(joint)), joint.tolist(), human.tolist(),
+               (joint != human).astype(int).tolist(), windowed.astype(int).tolist()]
+              for joint, human, windowed in zip(*labels))
+    data._write_csv(args.out, "demo_id,t,label_joint,label_human,mismatch,windowed", tables)
     print(f"wrote segmentation for {len(ds.demos)} demos to {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -216,8 +217,8 @@ def load_csv(path) -> Dataset:
     """Read a dataset from the demo_id,t,hx..rz,label CSV schema.
 
     Rows must be sorted by (demo_id, t) with t running 0,1,2,... per demo.
-    Errors carry the 1-based file line number; the rows are read in one
-    pass, so of several faults the earliest is reported.
+    Errors carry the 1-based physical line number and name the earliest of
+    several faults; they come from the row-by-row reader alone (`_read_demos`).
     """
     raw = Path(path).read_bytes()
     try:
@@ -225,12 +226,37 @@ def load_csv(path) -> Dataset:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        demos = _read_demos(reader, path)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    demos = _read_runs(csv.reader(io.StringIO(text, newline="")))
+    if demos is None:  # a fault: read again row by row, which names it
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            demos = _read_demos(reader, path)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return Dataset(tuple(demos), name=Path(path).stem)
+
+
+def _read_runs(reader) -> list[Demonstration] | None:
+    """load_csv's demonstrations, read a run of rows with one demo_id text at
+    a time and checked column-wise, or None if any check fails."""
+    demos, last_id = [], -math.inf
+    try:
+        if next(reader, None) != CSV_COLUMNS:
+            return None
+        for _, rows in itertools.groupby(filter(None, reader), key=lambda row: row[0]):
+            rows = list(rows)
+            cols = list(zip(*rows))
+            demo_id = int(cols[0][0])
+            if (set(map(len, rows)) != {len(CSV_COLUMNS)} or demo_id <= last_id
+                    or list(map(int, cols[1])) != list(range(len(rows)))):
+                return None
+            pos = np.ascontiguousarray(np.array([list(map(float, c)) for c in cols[2:8]]).T)
+            # Demonstration refuses non-finite positions and fewer than 2 frames
+            demos.append(Demonstration(pos[:, 0:3], pos[:, 3:6], label=rows[0][8]))
+            last_id = demo_id
+    except (csv.Error, ValueError):
+        return None
+    return demos or None
 
 
 def _read_demos(reader, path) -> list[Demonstration]:
@@ -282,20 +308,29 @@ def _read_demos(reader, path) -> list[Demonstration]:
     return demos
 
 
+def _write_csv(path, header: str, tables) -> None:
+    """csv.writer's bytes for `header` and each table's rows prefixed by its index,
+    one `write` per table. A table is equal-length columns of csv-quoted text, or
+    ints and floats from `.tolist()` (`str` of a float is its round-tripping repr)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for demo_id, columns in enumerate(tables):
+            rows = zip(itertools.repeat(str(demo_id)), *(map(str, c) for c in columns))
+            fh.write("\n".join([*map(",".join, rows), ""]))
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the load_csv schema; floats round-trip exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for demo_id, demo in enumerate(ds.demos):
-            for t in range(len(demo)):
-                h = demo.human_pos[t]
-                r = demo.robot_pos[t]
-                writer.writerow(
-                    [demo_id, t]
-                    + [repr(float(v)) for v in (*h, *r)]
-                    + [demo.label]
-                )
+    def quoted(label):  # as csv.writer writes it as one field of a row
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([label, ""])
+        return out.getvalue()[:-2]
+
+    _write_csv(path, ",".join(CSV_COLUMNS), (
+        [range(len(d)), *d.human_pos.T.tolist(), *d.robot_pos.T.tolist(),
+         [quoted(d.label)] * len(d)]
+        for d in ds.demos
+    ))
 
 
 def build_features(demo: Demonstration) -> FeatureSequence:

@@ -132,7 +132,8 @@ class HmmModel:
             chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
             inv_chol = _solve_lower(chol, np.eye(len(chol)))
             states.append((g.mean[human_idx], inv_chol, _log_norm(chol), gain, offset))
-        return _Regression(*map(np.array, zip(*states)))
+        split = DimensionSplit((), tuple(range(len(robot_idx))))
+        return _Regression(*map(np.array, zip(*states)), split)
 
 
 class _Regression(NamedTuple):
@@ -143,6 +144,7 @@ class _Regression(NamedTuple):
     log_norms: np.ndarray  # (S,): H log 2 pi + log det of each block, `_log_norm`
     gains: np.ndarray  # (S, R, H): the conditional robot mean is gain @ x + offset
     offsets: np.ndarray  # (S, R)
+    split: DimensionSplit  # of the predicted rows, split.restrict(split.robot_idx)
 
 
 @dataclass(frozen=True)
@@ -606,7 +608,7 @@ def gmr_predict(model: HmmModel, human_obs) -> FeatureSequence:
     _check_type("model", model, HmmModel)
     frames = _human_frames(model, human_obs)
     rows, _, _ = _gmr(model, frames, np.array([len(frames)]))
-    return FeatureSequence(rows, model.split.restrict(model.split.robot_idx))
+    return FeatureSequence(rows, model._regression.split)
 
 
 def viterbi_labels(model: HmmModel, obs, dims: Sequence[int] | None = None) -> np.ndarray:

@@ -198,7 +198,7 @@ def predict(model: TscModel, human_obs) -> FeatureSequence:
     base = model.base
     frames = _human_frames(base, human_obs)
     out = _predict(model, frames, np.array([len(frames)]))
-    return FeatureSequence(out, base.split.restrict(base.split.robot_idx))
+    return FeatureSequence(out, base._regression.split)
 
 
 def _predict(model: TscModel, frames: np.ndarray, lengths: np.ndarray) -> np.ndarray:

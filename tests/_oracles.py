@@ -4,7 +4,11 @@ Nothing here may import from tschmm: these are second implementations used
 to cross-check the package, built only on numpy and scipy.
 """
 
+import csv
+import io
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -218,3 +222,91 @@ def masked_runs(seqs, masks):
         edges = np.flatnonzero(np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0))
         runs += [frames[a:b] for a, b in zip(edges[::2], edges[1::2])]
     return runs
+
+
+# --- dataset CSV files ---------------------------------------------------------
+# A row-by-row reader and csv.writer's bytes: the references for `load_csv`,
+# which reads a run of rows column-wise, and for the package's CSV writers,
+# which format whole columns.
+
+CSV_COLUMNS = ["demo_id", "t", "hx", "hy", "hz", "rx", "ry", "rz", "label"]
+
+
+def load_csv_rows(path):
+    """`load_csv` row by row: each demo as (human_pos, robot_pos, label), or
+    ValueError with the package's message for the earliest fault."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _read_rows(reader, path)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_rows(reader, path):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if header != CSV_COLUMNS:
+        raise ValueError(
+            f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
+        )
+    demos = []
+    demo_id, coords, label = None, [], ""
+
+    def close_demo():
+        if len(coords) < 2:
+            raise ValueError(f"{path}: demo {demo_id} has fewer than 2 frames")
+        pos = np.array(coords)
+        demos.append((pos[:, 0:3], pos[:, 3:6], label))
+
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}: line {reader.line_num}: expected {len(CSV_COLUMNS)} fields")
+        try:
+            key = (int(row[0]), int(row[1]))
+            vals = [float(v) for v in row[2:8]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"{path}: line {reader.line_num}: non-finite coordinate")
+        if demo_id is not None and key <= (demo_id, len(coords) - 1):
+            raise ValueError(f"{path}: line {reader.line_num}: rows not sorted by (demo_id, t)")
+        if key[0] != demo_id:
+            if demo_id is not None:
+                close_demo()
+            demo_id, coords, label = key[0], [], row[8]
+        if key[1] != len(coords):
+            raise ValueError(
+                f"{path}: line {reader.line_num}: "
+                f"demo {demo_id} expected t={len(coords)}, got t={key[1]}"
+            )
+        coords.append(vals)
+    if demo_id is None:
+        raise ValueError(f"{path}: no data rows")
+    close_demo()
+    return demos
+
+
+def csv_bytes(header, rows) -> bytes:
+    """csv.writer's bytes for a header and rows of per-field values."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def dataset_rows(demos):
+    """`save_csv`'s rows for (human_pos, robot_pos, label) demos, field by field."""
+    return [[demo_id, t, *(repr(float(v)) for v in (*human[t], *robot[t])), label]
+            for demo_id, (human, robot, label) in enumerate(demos)
+            for t in range(len(human))]

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import CSV_COLUMNS, csv_bytes, dataset_rows
 from tschmm import cli, hmm, tsc
 from tschmm.cli import main
 from tschmm.data import (Dataset, Demonstration, FeatureSequence, build_features, load_csv,
-                         save_csv)
+                         save_csv, synth_generate)
 from tschmm.evaluation import REPORT_COLUMNS, ExperimentConfig, mse
 from tschmm.hmm import HmmModel, init_temporal_bins, viterbi_labels
 from tschmm.model_io import load_model, save_model
@@ -90,6 +91,16 @@ def test_synth_writes_dataset_and_boundary_sidecar(data_csv):
     for demo_id, demo in enumerate(ds.demos):
         bounds = [int(r[1]) for r in rows[1:] if int(r[0]) == demo_id]
         assert len(bounds) == 2 and bounds[0] < bounds[1] < len(demo.human_pos)
+
+
+def test_synth_writes_the_reference_bytes(data_csv):
+    ds, boundaries = synth_generate("handshake", 6, 0.005, 0)
+    assert data_csv.read_bytes() == csv_bytes(
+        CSV_COLUMNS, dataset_rows((d.human_pos, d.robot_pos, d.label) for d in ds.demos)
+    )
+    assert data_csv.with_name("handshake.boundaries.csv").read_bytes() == csv_bytes(
+        ["demo_id", "t"], [[demo_id, t] for demo_id, b in enumerate(boundaries) for t in b]
+    )
 
 
 def test_synth_is_deterministic(workdir, data_csv):
@@ -274,15 +285,6 @@ def test_segment_labels_match_per_demo_labelling(workdir, data_csv, trained):
         assert np.array_equal(rows[:, 3], human)
 
 
-def _reference_csv(header, rows) -> bytes:
-    """The writer's bytes for rows of per-element values."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue().encode("utf-8")
-
-
 def test_predict_and_segment_write_the_reference_bytes(workdir, data_csv, trained):
     model_path, _ = trained
     model = load_model(model_path)
@@ -307,11 +309,11 @@ def test_predict_and_segment_write_the_reference_bytes(workdir, data_csv, traine
                    "--out", str(pred_path))[0] == 0
     assert run_cli("segment", "--model", str(model_path), "--data", str(data_csv),
                    "--out", str(seg_path))[0] == 0
-    assert pred_path.read_bytes() == _reference_csv(
+    assert pred_path.read_bytes() == csv_bytes(
         ["demo_id", "t", "pred_x", "pred_y", "pred_z", "true_x", "true_y", "true_z"],
         pred_rows,
     )
-    assert seg_path.read_bytes() == _reference_csv(
+    assert seg_path.read_bytes() == csv_bytes(
         ["demo_id", "t", "label_joint", "label_human", "mismatch", "windowed"], seg_rows
     )
 

@@ -17,13 +17,22 @@ training or constructor example makes one argument of a valid call to
 another type, an array cell made NaN, inf or huge, an array emptied, made
 ragged or cut by a column, or an entry of a list made wrong in turn. The
 call must return, or raise ValueError, TrainingError or LinAlgError (a
-ValueError) with a message, and must not warn. The examples are
-derandomized, so every run tries the same inputs.
+ValueError) with a message, and must not warn.
+
+Each reader example edits a small valid dataset CSV (rows swapped, dropped
+or repeated, a one-frame demo, odd number text, fields added or removed,
+blank lines, quoted multi-line labels, a stray quote, a cut) and requires
+`load_csv` to return what the row-by-row reader in `_oracles` returns, or
+to raise its message. The examples are derandomized, so every run tries
+the same inputs.
 """
 
 import contextlib
+import csv
 import io
+import itertools
 import json
+import random
 import warnings
 
 import numpy as np
@@ -31,10 +40,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import CSV_COLUMNS, load_csv_rows
 from tschmm import tsc
 from tschmm.cli import main
 from tschmm.data import (Dataset, Demonstration, DimensionSplit, FeatureSequence, build_features,
-                         save_csv, synth_generate)
+                         load_csv, save_csv, synth_generate)
 from tschmm.gaussian import GaussianState, log_density, marginalize
 from tschmm.hmm import (HmmModel, TrainingError, baum_welch, forward, gmr_predict,
                         init_temporal_bins, viterbi_labels)
@@ -348,3 +358,101 @@ def test_training_entry_point_returns_or_fails_with_a_message(short, model, name
             call(*args)
         except (ValueError, TrainingError) as exc:
             assert str(exc)
+
+
+# --- load_csv against the row-by-row reader ----------------------------------
+
+# fields in place of a number: text int() and float() read, or refuse, alike
+ODD_NUMBERS = ["nan", "1e999", "inf", "-inf", "x", "", " 1", "01", "1_0", "1.0", "+0", "-0",
+               "1e5", "١", '"']
+LABELS = ["", "a,b", 'say "hi"', "two\nlines", "Zürich", " lead", "\r"]
+# a column of the header renamed; rows swapped, dropped or repeated; demos
+# shuffled; a demo cut to one frame; the rest of a demo given another id, or
+# the same id spelt otherwise; a field made odd, added or removed; a label
+# over csv's field limit; a blank line; an opening quote; the file cut short
+CSV_EDITS = ["header", "swap", "drop", "repeat", "shuffle", "single", "renumber", "field",
+             "extra", "missing", "oversize", "blank", "quote", "truncate"]
+
+
+def _dataset_rows(rng) -> list[list[str]]:
+    """The rows of a valid dataset of 0-4 demos of 2-4 frames each."""
+    rows = []
+    for demo_id in range(rng.randint(0, 4)):
+        label = rng.choice(LABELS)
+        for t in range(rng.randint(2, 4)):
+            rows.append([str(demo_id), str(t),
+                         *(repr(demo_id + t / 7 - j / 3) for j in range(6)), label])
+    return rows
+
+
+def _edited_csv(rows: list[list[str]], rng) -> str:
+    """The CSV text of `rows` after one to three edits."""
+    edits = rng.choices(CSV_EDITS, k=rng.randint(1, 3))
+    header = list(CSV_COLUMNS)
+    for edit in edits:
+        i = rng.randrange(len(rows)) if rows else 0
+        if edit == "header":
+            header[rng.randrange(len(header))] = "x"
+        elif edit == "swap" and rows:
+            j = rng.randrange(len(rows))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == "drop" and rows:
+            del rows[i]
+        elif edit == "repeat" and rows:
+            rows.insert(i, list(rows[i]))
+        elif edit == "shuffle":
+            demos = [list(g) for _, g in itertools.groupby(rows, key=lambda r: r[:1])]
+            rng.shuffle(demos)
+            rows = [r for demo in demos for r in demo]
+        elif edit == "single":
+            demo_id = str(rng.randint(0, 3))
+            at = [n for n, r in enumerate(rows) if r[:1] == [demo_id]]
+            for n in reversed(at[1:]):
+                del rows[n]
+        elif edit == "renumber" and rows and rows[i]:
+            k = rows[i][0]
+            at = [n for n, r in enumerate(rows) if r[:1] == [k]]
+            text = rng.choice(["0", "-1", "9", f"0{k}", f" {k}"])
+            for n in at[rng.choice([0, 0, 1]):]:
+                rows[n][0] = text
+        elif edit == "field" and rows and len(rows[i]) > 7:
+            rows[i][rng.randint(0, 7)] = rng.choice(ODD_NUMBERS)
+        elif edit == "extra" and rows:
+            rows[i].append("0.5")
+        elif edit == "missing" and rows and rows[i]:
+            del rows[i][rng.randrange(len(rows[i]))]
+        elif edit == "oversize" and rows:
+            rows[i][-1:] = ["x" * 140_000]
+        elif edit == "blank":
+            rows.insert(i, [])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = out.getvalue()
+    for edit in edits:
+        if edit in ("quote", "truncate"):
+            at = rng.randint(text.index("\n") + 1, len(text))
+            text = text[:at] + '"' + text[at:] if edit == "quote" else text[:at]
+    return text
+
+
+def _read_with(read, path):
+    """Each demo's positions as bytes and label, or the ValueError's message."""
+    try:
+        demos = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(np.ascontiguousarray(h).tobytes(), np.shape(h), np.ascontiguousarray(r).tobytes(),
+             label) for h, r, label in demos]
+
+
+@settings(FUZZ, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_load_csv_reads_as_the_row_by_row_reader(tmp_path_factory, seed):
+    rng = random.Random(seed)
+    path = tmp_path_factory.getbasetemp() / "load_csv_fuzz.csv"
+    path.write_text(_edited_csv(_dataset_rows(rng), rng), encoding="utf-8", newline="")
+    got = _read_with(lambda p: [(d.human_pos, d.robot_pos, d.label) for d in load_csv(p).demos],
+                     path)
+    assert got == _read_with(load_csv_rows, path)

@@ -630,6 +630,17 @@ def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
     assert normalized == [(human, human)] * states
 
 
+def test_prediction_builds_its_output_split_once_without_restrict(trained_kind, monkeypatch):
+    model, held_out = trained_kind
+    base = model.base
+    want = base.split.restrict(base.split.robot_idx)
+    fresh = HmmModel(base.priors, base.transitions, base.emissions, base.split)
+    monkeypatch.setattr(DimensionSplit, "restrict", lambda *a: pytest.fail("restrict called"))
+    first = predict(TscModel(fresh, model.transition, model.window), held_out[0]).split
+    assert first == want
+    assert gmr_predict(fresh, held_out[1]).split is first
+
+
 def test_training_builds_no_regression_factors(criterion6_split, monkeypatch):
     base, feats, _ = criterion6_split
     built = []
