@@ -110,14 +110,14 @@ def _index_tuple(name: str, idx, dim: int | None = None) -> tuple[int, ...]:
 
 
 def _float_array(name: str, value) -> np.ndarray:
-    """`value` as a new float array, or a ValueError naming `name` unless
-    it holds finite numbers, or lists of them of equal length: the package's
-    one rule for arrays."""
+    """`value` as a new C-ordered float array, so that sums over it do not
+    depend on the input's layout, or a ValueError naming `name` unless it holds
+    finite numbers, or lists of them of equal length: the one rule for arrays."""
     if value is None:
         raise ValueError(f"{name} must hold numbers, got None")
     # an integer beyond the float range raises OverflowError
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(value, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{name} must hold numbers, or lists of numbers of equal length"
@@ -270,11 +270,11 @@ def _read_demos(reader, path) -> list[Demonstration]:
             f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
         )
     demos = []
-    demo_id, coords, label = None, [], ""  # the demo being read
+    demo_id, coords, label, first = None, [], "", reader.line_num  # the demo being read
 
     def close_demo():
         if len(coords) < 2:
-            raise ValueError(f"{path}: demo {demo_id} has fewer than 2 frames")
+            raise ValueError(f"{path}: line {first}: demo {demo_id} has fewer than 2 frames")
         pos = np.array(coords)
         demos.append(Demonstration(human_pos=pos[:, 0:3], robot_pos=pos[:, 3:6], label=label))
 
@@ -295,7 +295,7 @@ def _read_demos(reader, path) -> list[Demonstration]:
         if key[0] != demo_id:
             if demo_id is not None:
                 close_demo()
-            demo_id, coords, label = key[0], [], row[8]
+            demo_id, coords, label, first = key[0], [], row[8], reader.line_num
         if key[1] != len(coords):
             raise ValueError(
                 f"{path}: line {reader.line_num}: "
@@ -303,7 +303,7 @@ def _read_demos(reader, path) -> list[Demonstration]:
             )
         coords.append(vals)
     if demo_id is None:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError(f"{path}: line {first}: no data rows")
     close_demo()
     return demos
 
@@ -323,8 +323,9 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the load_csv schema; floats round-trip exactly."""
     def quoted(label):  # as csv.writer writes it as one field of a row
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerow([label, ""])
-        return out.getvalue()[:-2]
+        # the default "\r\n" terminator quotes a lone "\r" too, which reads as a line end
+        csv.writer(out).writerow([label, ""])
+        return out.getvalue()[:-3]
 
     _write_csv(path, ",".join(CSV_COLUMNS), (
         [range(len(d)), *d.human_pos.T.tolist(), *d.robot_pos.T.tolist(),

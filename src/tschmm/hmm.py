@@ -10,7 +10,8 @@ One kernel runs every forward and backward recursion: the E-step, the
 per-frame labels and prediction all hand it the emission densities of
 their sequences stored back to back, and it steps through time once for
 the whole batch, each sequence stopping at its own length. A single
-sequence is a batch of one.
+sequence is a batch of one. Only the E-step, whose statistics ignore each
+row's scale, normalizes less often than at every step.
 
 Emission densities enter the recursions through their log values; each step
 shifts by the largest log density before exponentiating, so the scaled
@@ -53,6 +54,8 @@ logger = logging.getLogger(__name__)
 _SIMPLEX_ATOL = 1e-9
 # below this total responsibility a state is considered collapsed
 _RESP_FLOOR = 1e-12
+_EM_INTERVAL = 8  # the E-step's renormalization interval, see `_forward_backward`
+_RENORM_FLOOR = 2.0**-400  # its square is still far above the subnormals
 
 
 class TrainingError(RuntimeError):
@@ -241,10 +244,10 @@ def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
 
 
 class _Passes(NamedTuple):
-    a_hat: np.ndarray  # (F, S) normalized forward variables
+    a_hat: np.ndarray  # (F, S) forward variables, normalized at each renormalizing step
     log_c: np.ndarray  # (N, T) log scaling constants, 0 past each length
     b_hat: np.ndarray  # (F, S) shifted emission likelihoods
-    beta_hat: np.ndarray | None  # (F, S) renormalized backward variables
+    beta_hat: np.ndarray | None  # (F, S) backward variables, renormalized likewise
 
 
 def _forward_backward(
@@ -253,6 +256,7 @@ def _forward_backward(
     log_b: np.ndarray,
     lengths: np.ndarray,
     backward: bool = False,
+    interval: int = 1,
 ) -> _Passes:
     """Scaled forward (and optionally backward) passes over a batch.
 
@@ -267,6 +271,14 @@ def _forward_backward(
     section V-A). The backward variables are renormalized per step as
     well, the scale cancelling in the posteriors, and restart at 1 on each
     sequence's own last frame. Padded frames are computed but never used.
+
+    With `interval` k > 1 (the E-step's), both passes normalize only every
+    k-th step and at their last, counting from the first frame forward and
+    from the last padded frame backward. Posteriors cancel each row's scale;
+    a last frame no normalization fell on adds the log of its mass to its
+    constant. As b_hat <= 1 and rows of trans sum to 1, a block's mass can
+    only fall, so a normalizer ending one at or below `_RENORM_FLOOR` reruns
+    the call at interval 1, whose rows and errors are the per-step ones.
 
     The batch steps through time together. Each forward step is a stack of
     per-sequence vector-matrix products rather than one matrix product, so
@@ -290,23 +302,32 @@ def _forward_backward(
     # N one-row matrices, as the vector-matrix products below take them
     b_hat = b_hat.reshape(t_max, n, 1, s)
 
+    # step j of either pass normalizes if j % interval == interval - 1 or it is its last
+    marks = ([False] * (interval - 1) + [True]) * (t_max // interval + 1)
+    marks[t_max - 1] = True
     a_hat = np.empty((t_max, n, 1, s))
-    total = np.empty((t_max, n, 1, 1))
-    a = np.empty((n, 1, s))
+    total = np.ones((t_max, n, 1, 1))
+    floor = 0.0 if interval == 1 else _RENORM_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(priors, b_hat[0], out=a)
+        np.multiply(priors, b_hat[0], out=a_hat[0])
         # stepping over per-frame views spares indexing by t on every step
         a_prev = None
-        for a_t, b_t, total_t in zip(a_hat, b_hat, total):
+        for a_t, b_t, total_t, renorm in zip(a_hat, b_hat, total, marks):
             if a_prev is not None:
-                np.matmul(a_prev, trans, out=a)
-                a *= b_t
-            np.add.reduce(a, axis=2, keepdims=True, out=total_t)
-            np.divide(a, total_t, out=a_t)
+                np.matmul(a_prev, trans, out=a_t)
+                a_t *= b_t
+            if renorm:
+                np.add.reduce(a_t, axis=2, keepdims=True, out=total_t)
+                a_t /= total_t
             a_prev = a_t
+        if interval > 1:  # a last frame no normalization fell on adds the log of its mass
+            k = np.flatnonzero(~np.array(marks)[lengths - 1])
+            total[lengths[k] - 1, k] = a_hat[lengths[k] - 1, k].sum(axis=2, keepdims=True)
         total = total.reshape(t_max, n)
-        ok = np.isfinite(total) & (total > 0.0)
+        ok = np.isfinite(total) & (total > floor)
         if not ok.all():
+            if interval > 1:
+                return _forward_backward(priors, trans, log_b, lengths, backward)
             raise TrainingError(f"forward mass vanished at {_failed_frame(~ok.T)}")
         log_c = (np.log(total) + shift.reshape(t_max, n)).T * valid
 
@@ -322,19 +343,22 @@ def _forward_backward(
             norm = np.ones((t_max, n, 1))
             c = np.empty((n, s))
             trans_t = trans.T
-            # frame t reads frame t + 1, both as views, backward in time
+            # frame t, step t_max - 1 - t, reads frame t + 1, both as views
             steps = zip(range(t_max - 2, -1, -1), b_flat[:0:-1], beta_hat[:0:-1],
-                        beta_hat[-2::-1], norm[-2::-1])
-            for t, b_next, beta_next, beta_t, norm_t in steps:
+                        beta_hat[-2::-1], norm[-2::-1], marks[1:])
+            for t, b_next, beta_next, beta_t, norm_t, renorm in steps:
                 np.multiply(b_next, beta_next, out=c)
                 np.matmul(c, trans_t, out=beta_t)
-                np.add.reduce(beta_t, axis=1, keepdims=True, out=norm_t)
-                beta_t /= norm_t
+                if renorm:
+                    np.add.reduce(beta_t, axis=1, keepdims=True, out=norm_t)
+                    beta_t /= norm_t
                 if t in ends:
                     beta_t[ends[t]] = 1.0
             norm = norm.reshape(t_max, n)
-            ok = np.isfinite(norm) & (norm > 0.0)
+            ok = np.isfinite(norm) & (norm > floor)
             if not ok.all():
+                if interval > 1:
+                    return _forward_backward(priors, trans, log_b, lengths, backward)
                 raise TrainingError(
                     f"backward mass vanished at {_failed_frame(~ok.T, backward=True)}"
                 )
@@ -432,7 +456,7 @@ def _e_step(
     # one Cholesky per state for the whole batch
     log_b = _log_emissions(model, pooled, np.arange(model.dim))
     a_hat, log_c, b_hat, beta_hat = _forward_backward(
-        model.priors, trans, log_b, lengths, backward=True
+        model.priors, trans, log_b, lengths, backward=True, interval=_EM_INTERVAL
     )
     joint = a_hat * beta_hat
     row_tot = joint.sum(axis=1, keepdims=True)

@@ -258,11 +258,11 @@ def _read_rows(reader, path):
             f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
         )
     demos = []
-    demo_id, coords, label = None, [], ""
+    demo_id, coords, label, first = None, [], "", reader.line_num
 
     def close_demo():
         if len(coords) < 2:
-            raise ValueError(f"{path}: demo {demo_id} has fewer than 2 frames")
+            raise ValueError(f"{path}: line {first}: demo {demo_id} has fewer than 2 frames")
         pos = np.array(coords)
         demos.append((pos[:, 0:3], pos[:, 3:6], label))
 
@@ -283,7 +283,7 @@ def _read_rows(reader, path):
         if key[0] != demo_id:
             if demo_id is not None:
                 close_demo()
-            demo_id, coords, label = key[0], [], row[8]
+            demo_id, coords, label, first = key[0], [], row[8], reader.line_num
         if key[1] != len(coords):
             raise ValueError(
                 f"{path}: line {reader.line_num}: "
@@ -291,7 +291,7 @@ def _read_rows(reader, path):
             )
         coords.append(vals)
     if demo_id is None:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError(f"{path}: line {first}: no data rows")
     close_demo()
     return demos
 

@@ -175,11 +175,10 @@ def test_save_csv_writes_the_reference_bytes_and_reads_back(tmp_path):
     for (human, robot, _), got, want in zip(demos, back.demos, _oracles.load_csv_rows(path)):
         assert got.human_pos.tobytes() == human.tobytes() == want[0].tobytes()
         assert got.robot_pos.tobytes() == robot.tobytes() == want[1].tobytes()
-    # csv.writer leaves a lone carriage return unquoted, so this label is
-    # written as it writes it, but does not read back
-    demos = [(demos[0][0], demos[0][1], "carriage\rreturn")]
-    save_csv(Dataset((Demonstration(*demos[0]),)), path)
-    assert path.read_bytes() == _oracles.csv_bytes(CSV_COLUMNS, _oracles.dataset_rows(demos))
+    # a lone carriage return is quoted, as csv.writer quotes it with its
+    # default "\r\n" terminator, so the label reads back
+    save_csv(Dataset((Demonstration(demos[0][0], demos[0][1], "carriage\rreturn"),)), path)
+    assert [d.label for d in load_csv(path).demos] == ["carriage\rreturn"]
 
 
 def _write_rows(path, rows, header=None):
@@ -222,7 +221,11 @@ def test_load_csv_rejects_single_frame_demo(tmp_path):
     path = tmp_path / "bad.csv"
     r = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, "x"]
     _write_rows(path, [[0, 0, *r], [0, 1, *r], [1, 0, *r]])
-    with pytest.raises(ValueError, match="demo 1.*fewer than 2"):
+    with pytest.raises(ValueError, match=r"bad\.csv: line 4: demo 1 has fewer than 2 frames"):
+        load_csv(path)
+    # found at the next demo's first row, the fault names the demo's own row
+    _write_rows(path, [[0, 0, *r], [1, 0, *r], [2, 0, *r], [2, 1, *r]])
+    with pytest.raises(ValueError, match=r"bad\.csv: line 2: demo 0 has fewer than 2 frames"):
         load_csv(path)
 
 
@@ -250,9 +253,11 @@ def test_load_csv_rejects_empty_and_header_only(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
         load_csv(path)
-    path.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no data rows"):
-        load_csv(path)
+    # the header's line is named, though blank lines follow it
+    for tail in ("\n", "\n\n"):
+        path.write_text(",".join(CSV_COLUMNS) + tail, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"empty\.csv: line 1: no data rows"):
+            load_csv(path)
 
 
 # --- sample_batch ------------------------------------------------------------

@@ -23,8 +23,10 @@ Each reader example edits a small valid dataset CSV (rows swapped, dropped
 or repeated, a one-frame demo, odd number text, fields added or removed,
 blank lines, quoted multi-line labels, a stray quote, a cut) and requires
 `load_csv` to return what the row-by-row reader in `_oracles` returns, or
-to raise its message. The examples are derandomized, so every run tries
-the same inputs.
+to raise its message. Each writer example saves demos whose labels are any
+text a UTF-8 file can hold, carriage returns, quotes and commas included,
+and requires `load_csv` to read the labels back. The examples are
+derandomized, so every run tries the same inputs.
 """
 
 import contextlib
@@ -456,3 +458,16 @@ def test_load_csv_reads_as_the_row_by_row_reader(tmp_path_factory, seed):
     got = _read_with(lambda p: [(d.human_pos, d.robot_pos, d.label) for d in load_csv(p).demos],
                      path)
     assert got == _read_with(load_csv_rows, path)
+
+
+# text a UTF-8 file can hold: any character but a lone surrogate
+LABEL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from("\r\n,\""))
+
+
+@settings(FUZZ, max_examples=200)
+@given(labels=st.lists(LABEL_TEXT, min_size=1, max_size=3))
+def test_save_csv_labels_read_back(tmp_path_factory, labels):
+    path = tmp_path_factory.getbasetemp() / "labels_fuzz.csv"
+    pos = np.arange(6.0).reshape(2, 3)
+    save_csv(Dataset(tuple(Demonstration(pos, -pos, label) for label in labels)), path)
+    assert [d.label for d in load_csv(path).demos] == labels

@@ -649,6 +649,107 @@ def test_e_step_on_zero_likelihood_frame_raises():
         baum_welch(model, seqs, max_iter=2)
 
 
+# --- the E-step's renormalization interval -----------------------------------------
+
+def _e_step_at(interval, monkeypatch, model, seqs):
+    """`_e_step` on the batch with the passes renormalized every `interval` steps."""
+    monkeypatch.setattr(hmm, "_EM_INTERVAL", interval)
+    lengths = np.array([len(f) for f in seqs])
+    return _e_step(model, np.vstack(seqs), lengths, _pairs(lengths))
+
+
+@pytest.mark.parametrize("interval", [2, 3, 8])
+def test_e_step_statistics_do_not_depend_on_the_interval(interval, monkeypatch):
+    for seed in range(5):
+        model, seqs = _ragged_batch(seed, num_states=4, dim=3)
+        stats, ll = _e_step_at(interval, monkeypatch, model, seqs)
+        want, want_ll = _e_step_at(1, monkeypatch, model, seqs)
+        assert ll == pytest.approx(want_ll, rel=1e-12)
+        for got, ref in zip(stats, want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _flipping_batch(p):
+    """Two sticky states, each leaving with probability p, and frames that
+    alternate between them, each scored p by the other state: every two
+    steps keep about p of the forward mass. Sequence lengths [9, 20, 4]."""
+    half = np.sqrt(-np.log(p) / 2.0)
+    g = (GaussianState([-half], [[1.0]]), GaussianState([half], [[1.0]]))
+    model = HmmModel(np.full(2, 0.5), np.array([[1.0 - p, p], [p, 1.0 - p]]), g,
+                     DimensionSplit((0,), ()))
+    seqs = [half * (-1.0) ** np.arange(n)[:, None] for n in (9, 20, 4)]
+    return model, seqs
+
+
+def test_e_step_reruns_every_step_when_a_block_falls_below_the_floor(monkeypatch):
+    # the first eight frames keep about 2**-530 of the mass, under the floor
+    # though not zero; per-step normalization never nears it
+    model, seqs = _flipping_batch(1e-40)
+    log_b = _log_emissions(model, seqs[0][:8], [0])
+    passes = _forward_backward(model.priors, model.transitions, log_b, np.array([8]))
+    kept = (passes.log_c.sum() - log_b.max(axis=1).sum()) / np.log(2)
+    assert -1074 < kept < np.log2(hmm._RENORM_FLOOR)
+    want, want_ll = _e_step_at(1, monkeypatch, model, seqs)
+    intervals = []
+
+    def spy(*args, **kwargs):
+        intervals.append(kwargs.get("interval", 1))
+        return _forward_backward(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "_forward_backward", spy)
+    stats, ll = _e_step_at(8, monkeypatch, model, seqs)
+    assert intervals == [8, 1]
+    assert ll == want_ll
+    for got, ref in zip(stats, want):
+        assert np.array_equal(got, ref)
+
+
+def test_e_step_names_the_frame_where_the_mass_vanished_mid_block(monkeypatch):
+    # the chain stays in state 0, which cannot score frame 5 of sequence 1
+    far = 1e200
+    model = HmmModel(np.array([1.0, 0.0]), np.eye(2),
+                     (GaussianState([0.0], [[1.0]]), GaussianState([far], [[1.0]])),
+                     DimensionSplit((0,), ()))
+    seqs = [np.zeros((12, 1)), np.zeros((12, 1)), np.zeros((3, 1))]
+    seqs[1][5] = far
+    for interval in (1, 8):
+        with pytest.raises(TrainingError,
+                           match=r"^forward mass vanished at frame 5 of sequence 1$"):
+            _e_step_at(interval, monkeypatch, model, seqs)
+
+
+def _model_bytes(model):
+    return b"".join(a.tobytes() for a in (
+        model.priors, model.transitions, *(x for g in model.emissions for x in (g.mean, g.cov))))
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_training_does_not_depend_on_memory_layout(kind):
+    """C-ordered, Fortran-ordered and strided-view frames with equal values
+    train, detect and fit to the same bits (criterion 6's first split)."""
+    ds, _ = synth_generate(kind, n_demos=30, noise_sigma=0.005, seed=0)
+    feats = [build_features(d) for d in sample_batch(ds, 15, 0)[0].demos]
+
+    def strided(frames):
+        big = np.zeros((2 * len(frames), 2 * frames.shape[1]))
+        big[::2, ::2] = frames
+        return big[::2, ::2]
+
+    outputs = []
+    for layout in (np.ascontiguousarray, np.asfortranarray, strided):
+        seqs = [layout(f.frames) for f in feats]
+        demos = [FeatureSequence(x, f.split) for x, f in zip(seqs, feats)]
+        init = init_temporal_bins(demos, 4, 1e-2)
+        base, history = baum_welch(init, seqs, max_iter=10)
+        samples, masks = tsc.detect_transition_states(base, seqs, 2)
+        fitted = tsc.fit(base, demos, 3, 2, max_iter=10)
+        outputs.append((_model_bytes(init), _model_bytes(base), history, samples.tobytes(),
+                        [m.tobytes() for m in masks],
+                        None if fitted.fallback else _model_bytes(fitted.transition)))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 # --- emission table against the triangular solve ---------------------------------
 
 def _conditioned_cov(rng, d, cond):

@@ -3,8 +3,10 @@ top-level private name a module defines is used somewhere in the package,
 every name a module exports in `__all__` is defined in that module, no
 module reaches `scipy.linalg.solve_triangular` around the one solve helper,
 no `np.einsum` call passes `optimize`, `gaussian._log_density`, the
-per-state density that prediction's stacked kernel replaced, stays gone, and
-each input rule's message is raised by the one function that holds the rule.
+per-state density that prediction's stacked kernel replaced, stays gone,
+each input rule's message is raised by the one function that holds the rule,
+and only the E-step renormalizes the forward-backward passes less than every
+step.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -274,3 +276,43 @@ def test_the_check_finds_a_rule_message_raised_in_two_functions():
                                       "must be strictly increasing": set(),
                                       "must be a sequence of": set(),
                                       "must be a non-empty (T, D) matrix": set()}
+
+
+def _interval_callers(source: str) -> list[str]:
+    """`function: line` for each call of `_forward_backward` that may pass a
+    renormalization interval: a sixth positional argument, `interval=`,
+    `*args` or `**kwargs`. Prediction and labelling promise rows equal bit
+    for bit to a per-step normalized pass, so only the E-step, whose
+    statistics do not depend on each row's scale, may renormalize less often."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "_forward_backward" and (
+                    len(node.args) > 5 or any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg in ("interval", None) for k in node.keywords)):
+                found.append(f"{scope}: line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_e_step_passes_a_renormalization_interval():
+    callers = [c for p in SOURCES for c in _interval_callers(p.read_text(encoding="utf-8"))]
+    assert [c.split(":")[0] for c in callers] == ["_e_step"], callers
+
+
+def test_the_check_finds_each_way_to_pass_an_interval():
+    source = ("def _e_step(m):\n    return _forward_backward(p, t, b, n, backward=True, interval=8)\n"
+              "\ndef _gmr(m):\n    h = hmm._forward_backward(p, t, b, n, False, 8)\n"
+              "    return _forward_backward(p, t, b, n, backward=False)\n"
+              "\ndef predict(m):\n    _forward_backward(*args)\n"
+              "    return _forward_backward(p, t, b, n, **opts)\n")
+    assert _interval_callers(source) == ["_e_step: line 2", "_gmr: line 5", "predict: line 9",
+                                         "predict: line 10"]
