@@ -18,6 +18,7 @@ import io
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -134,8 +135,11 @@ def _check_type(name: str, value, cls: type) -> None:
 
 
 def standard_split() -> DimensionSplit:
-    """The 12-dimensional layout: human dims 0-5, robot dims 6-11."""
-    return DimensionSplit(tuple(range(6)), tuple(range(6, 12)))
+    """The 12-dimensional layout: human dims 0-5, robot dims 6-11, built once."""
+    return _STANDARD_SPLIT
+
+
+_STANDARD_SPLIT = DimensionSplit(tuple(range(6)), tuple(range(6, 12)))
 
 
 @dataclass(frozen=True)
@@ -217,8 +221,9 @@ def load_csv(path) -> Dataset:
     """Read a dataset from the demo_id,t,hx..rz,label CSV schema.
 
     Rows must be sorted by (demo_id, t) with t running 0,1,2,... per demo.
-    Errors carry the 1-based physical line number and name the earliest of
-    several faults; they come from the row-by-row reader alone (`_read_demos`).
+    Errors carry the 1-based physical line number and name the fault that a
+    row-by-row reader meets first, though each run of rows with one demo_id
+    text is checked column-wise; only a faulty file is tokenized twice.
     """
     raw = Path(path).read_bytes()
     try:
@@ -226,86 +231,80 @@ def load_csv(path) -> Dataset:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: {exc}") from None
-    demos = _read_runs(csv.reader(io.StringIO(text, newline="")))
-    if demos is None:  # a fault: read again row by row, which names it
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            demos = _read_demos(reader, path)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    demos, start = [], 0  # the demos read, and the number of data rows taken
+    demo_id, label, parts, size = -math.inf, "", [], 0  # the demo being read and its row count
+
+    def fault(row, message):  # the error for non-blank data row `row`, from 0
+        again = csv.reader(io.StringIO(text, newline=""))
+        next(itertools.islice(filter(None, again), row + 1, None))  # past the header
+        return ValueError(f"{path}: line {again.line_num}: {message}")
+
+    def close():  # its rows are the last `size` taken
+        if size < 2:
+            raise fault(start - size, f"demo {demo_id} has fewer than 2 frames") from None
+        demos.append(Demonstration(*np.hsplit(np.concatenate(parts, axis=1).T, 2), label=label))
+
+    def take(run):  # add a run to the demo being read, or return (row, message) of a fault
+        # in it: each rule checks whole columns, in the order a row-by-row reader checks a row
+        nonlocal demo_id, label, parts, size, start
+        if set(map(len, run)) != {len(CSV_COLUMNS)}:
+            n = next(j for j, row in enumerate(run) if len(row) != len(CSV_COLUMNS))
+            return n, f"expected {len(CSV_COLUMNS)} fields"
+        cols = list(zip(*run))
+        try:  # numpy reads each text as float() does
+            key, t = int(cols[0][0]), list(map(int, cols[1]))
+            pos = np.array(cols[2:8], dtype=float)
+        except ValueError:  # the first column that fails, at its first failing row
+            for kind, texts in zip((int, int, *[float] * 6), cols):
+                done = []
+                try:
+                    done.extend(map(kind, texts))  # keeps the values before a failure
+                except ValueError as exc:
+                    return len(done), str(exc)
+        finite = np.isfinite(pos).all(axis=0)
+        if not finite.all():
+            return int(finite.argmin()), "non-finite coordinate"
+        if key > demo_id:
+            if size:
+                close()
+            demo_id, label, parts, size = key, run[0][8], [], 0
+        if key != demo_id or t != list(range(size, size + len(t))):
+            j = next(j for j, v in enumerate(t) if (key, v) != (demo_id, size + j))
+            # a key below the one expected is out of order, unless the demo has no row yet
+            unsorted = (key, t[j]) < (demo_id, size + j) and size + j > 0
+            return j, ("rows not sorted by (demo_id, t)" if unsorted
+                       else f"demo {demo_id} expected t={size + j}, got t={t[j]}")
+        parts.append(pos)
+        size += len(run)
+        start += len(run)
+
+    def check(run):  # take a run: a fault found at row n stands once the rows before it pass
+        n, message = len(run), None
+        while n and (found := take(run[:n])):
+            n, message = found
+        if message:
+            raise fault(start, message) from None
+
+    run = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: line 1: empty file")
+        if header != CSV_COLUMNS:
+            raise ValueError(f"{path}: line {reader.line_num}: header {header!r} "
+                             f"does not match required columns {CSV_COLUMNS!r}")
+        for _, group in itertools.groupby(filter(None, reader), key=operator.itemgetter(0)):
+            run.extend(group)  # keeps the rows read before an error
+            check(run)
+            run = []
+    except csv.Error as exc:
+        check(run)  # the rows read before the error may hold an earlier fault
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not size:
+        raise ValueError(f"{path}: line 1: no data rows")
+    close()
     return Dataset(tuple(demos), name=Path(path).stem)
-
-
-def _read_runs(reader) -> list[Demonstration] | None:
-    """load_csv's demonstrations, read a run of rows with one demo_id text at
-    a time and checked column-wise, or None if any check fails."""
-    demos, last_id = [], -math.inf
-    try:
-        if next(reader, None) != CSV_COLUMNS:
-            return None
-        for _, rows in itertools.groupby(filter(None, reader), key=lambda row: row[0]):
-            rows = list(rows)
-            cols = list(zip(*rows))
-            demo_id = int(cols[0][0])
-            if (set(map(len, rows)) != {len(CSV_COLUMNS)} or demo_id <= last_id
-                    or list(map(int, cols[1])) != list(range(len(rows)))):
-                return None
-            pos = np.ascontiguousarray(np.array([list(map(float, c)) for c in cols[2:8]]).T)
-            # Demonstration refuses non-finite positions and fewer than 2 frames
-            demos.append(Demonstration(pos[:, 0:3], pos[:, 3:6], label=rows[0][8]))
-            last_id = demo_id
-    except (csv.Error, ValueError):
-        return None
-    return demos or None
-
-
-def _read_demos(reader, path) -> list[Demonstration]:
-    """load_csv's rows as demonstrations, each built when its last row is read."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    if header != CSV_COLUMNS:
-        raise ValueError(
-            f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
-        )
-    demos = []
-    demo_id, coords, label, first = None, [], "", reader.line_num  # the demo being read
-
-    def close_demo():
-        if len(coords) < 2:
-            raise ValueError(f"{path}: line {first}: demo {demo_id} has fewer than 2 frames")
-        pos = np.array(coords)
-        demos.append(Demonstration(human_pos=pos[:, 0:3], robot_pos=pos[:, 3:6], label=label))
-
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}: line {reader.line_num}: expected {len(CSV_COLUMNS)} fields")
-        try:
-            key = (int(row[0]), int(row[1]))
-            vals = [float(v) for v in row[2:8]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"{path}: line {reader.line_num}: non-finite coordinate")
-        if demo_id is not None and key <= (demo_id, len(coords) - 1):
-            raise ValueError(f"{path}: line {reader.line_num}: rows not sorted by (demo_id, t)")
-        if key[0] != demo_id:
-            if demo_id is not None:
-                close_demo()
-            demo_id, coords, label, first = key[0], [], row[8], reader.line_num
-        if key[1] != len(coords):
-            raise ValueError(
-                f"{path}: line {reader.line_num}: "
-                f"demo {demo_id} expected t={len(coords)}, got t={key[1]}"
-            )
-        coords.append(vals)
-    if demo_id is None:
-        raise ValueError(f"{path}: line {first}: no data rows")
-    close_demo()
-    return demos
 
 
 def _write_csv(path, header: str, tables) -> None:

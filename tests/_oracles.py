@@ -226,8 +226,9 @@ def masked_runs(seqs, masks):
 
 # --- dataset CSV files ---------------------------------------------------------
 # A row-by-row reader and csv.writer's bytes: the references for `load_csv`,
-# which reads a run of rows column-wise, and for the package's CSV writers,
-# which format whole columns.
+# which checks each run of rows column-wise and must name the fault this
+# reader meets first, and for the package's CSV writers, which format whole
+# columns.
 
 CSV_COLUMNS = ["demo_id", "t", "hx", "hy", "hz", "rx", "ry", "rz", "label"]
 
@@ -252,11 +253,10 @@ def _read_rows(reader, path):
     try:
         header = next(reader)
     except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
+        raise ValueError(f"{path}: line 1: empty file") from None
     if header != CSV_COLUMNS:
-        raise ValueError(
-            f"{path}: header {header!r} does not match required columns {CSV_COLUMNS!r}"
-        )
+        raise ValueError(f"{path}: line {reader.line_num}: "
+                         f"header {header!r} does not match required columns {CSV_COLUMNS!r}")
     demos = []
     demo_id, coords, label, first = None, [], "", reader.line_num
 

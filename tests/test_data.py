@@ -1,5 +1,6 @@
 """Tests for trajectory ingestion, features, batching, and the generator."""
 
+import csv
 import math
 import re
 import warnings
@@ -57,6 +58,9 @@ def test_standard_split_layout():
     assert split.human_idx == (0, 1, 2, 3, 4, 5)
     assert split.robot_idx == (6, 7, 8, 9, 10, 11)
     assert split.dim == 12
+    # frozen, so one split serves every call: features no longer build one per demo
+    assert standard_split() is split
+    assert build_features(_tiny_demo()).split is split
 
 
 def test_split_restrict_remaps_positions():
@@ -190,7 +194,7 @@ def _write_rows(path, rows, header=None):
 def test_load_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     _write_rows(path, [], header=["demo", "t", "hx", "hy", "hz", "rx", "ry", "rz", "label"])
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match=r"bad\.csv: line 1: header \['demo', "):
         load_csv(path)
 
 
@@ -199,6 +203,10 @@ def test_load_csv_reports_line_numbers(tmp_path):
     row = [0, 0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, "x"]
     _write_rows(path, [row, [0, 2, *row[2:]]])
     with pytest.raises(ValueError, match="line 3.*expected t=1"):
+        load_csv(path)
+    # a t below the one expected is unsorted, but not on a demo's first row
+    _write_rows(path, [row, [0, 1, *row[2:]], [1, -1, *row[2:]]])
+    with pytest.raises(ValueError, match=r"line 4: demo 1 expected t=0, got t=-1$"):
         load_csv(path)
 
 
@@ -248,10 +256,39 @@ def test_load_csv_numbers_physical_lines_after_a_multiline_field(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_keeps_ids_and_t_exact_past_int64(tmp_path):
+    # as floats, ids 2**63 and 2**63 + 1 are one number and would merge two demos
+    path = tmp_path / "big.csv"
+    r = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, "x"]
+    _write_rows(path, [[i, t, *r] for i in (1, 2**63, 2**63 + 1) for t in (0, 1)])
+    assert len(load_csv(path).demos) == len(_oracles.load_csv_rows(path)) == 3
+    _write_rows(path, [[0, 0, *r], [0, 2**64, *r]])
+    with pytest.raises(ValueError, match=rf"line 3: demo 0 expected t=1, got t={2**64}$"):
+        load_csv(path)
+
+
+def test_load_csv_tokenizes_a_valid_file_once(tmp_path, monkeypatch):
+    ds, _ = synth_generate("handshake", n_demos=3, noise_sigma=0.01, seed=5)
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    readers, reader = [], csv.reader
+    monkeypatch.setattr(data.csv, "reader", lambda *a, **k: readers.append(a) or reader(*a, **k))
+    assert len(load_csv(path).demos) == 3
+    assert len(readers) == 1
+    # a fault's line is found by reading the text again, up to the faulty row
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[-1].split(",")
+    lines[-1] = ",".join([*fields[:2], "nan", *fields[3:]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"ds\.csv: line {len(lines)}: non-finite coordinate$"):
+        load_csv(path)
+    assert len(readers) == 3
+
+
 def test_load_csv_rejects_empty_and_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match=r"empty\.csv: line 1: empty file$"):
         load_csv(path)
     # the header's line is named, though blank lines follow it
     for tail in ("\n", "\n\n"):

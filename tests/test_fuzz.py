@@ -369,9 +369,10 @@ ODD_NUMBERS = ["nan", "1e999", "inf", "-inf", "x", "", " 1", "01", "1_0", "1.0",
                "1e5", "١", '"']
 LABELS = ["", "a,b", 'say "hi"', "two\nlines", "Zürich", " lead", "\r"]
 # a column of the header renamed; rows swapped, dropped or repeated; demos
-# shuffled; a demo cut to one frame; the rest of a demo given another id, or
-# the same id spelt otherwise; a field made odd, added or removed; a label
-# over csv's field limit; a blank line; an opening quote; the file cut short
+# shuffled; a demo cut to one frame; the rest of a demo given another id (one
+# past int64 too), or the same id spelt otherwise; a field made odd, added or
+# removed; a label over csv's field limit; a blank line; an opening quote; the
+# file cut short
 CSV_EDITS = ["header", "swap", "drop", "repeat", "shuffle", "single", "renumber", "field",
              "extra", "missing", "oversize", "blank", "quote", "truncate"]
 
@@ -414,7 +415,7 @@ def _edited_csv(rows: list[list[str]], rng) -> str:
         elif edit == "renumber" and rows and rows[i]:
             k = rows[i][0]
             at = [n for n, r in enumerate(rows) if r[:1] == [k]]
-            text = rng.choice(["0", "-1", "9", f"0{k}", f" {k}"])
+            text = rng.choice(["0", "-1", "9", f"0{k}", f" {k}", str(2**63)])
             for n in at[rng.choice([0, 0, 1]):]:
                 rows[n][0] = text
         elif edit == "field" and rows and len(rows[i]) > 7:

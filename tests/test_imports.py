@@ -5,8 +5,9 @@ module reaches `scipy.linalg.solve_triangular` around the one solve helper,
 no `np.einsum` call passes `optimize`, `gaussian._log_density`, the
 per-state density that prediction's stacked kernel replaced, stays gone,
 each input rule's message is raised by the one function that holds the rule,
-and only the E-step renormalizes the forward-backward passes less than every
-step.
+each CSV row message is written in one function, so one reader holds the row
+rules, and only the E-step renormalizes the forward-backward passes less than
+every step.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -276,6 +277,59 @@ def test_the_check_finds_a_rule_message_raised_in_two_functions():
                                       "must be strictly increasing": set(),
                                       "must be a sequence of": set(),
                                       "must be a non-empty (T, D) matrix": set()}
+
+
+# the text of each row message of `data.load_csv`: one reader holds the row rules
+CSV_ROW_TEXTS = ("non-finite coordinate", "rows not sorted by (demo_id, t)",
+                 "has fewer than 2 frames", "no data rows", "fields")
+
+
+def _text_holders(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Per CSV row text, `module: function` for each function (a method as
+    `Class.method`, a nested function as `outer.inner`, module level as
+    `module: `) with a string other than a docstring that holds the text."""
+    found = {text: set() for text in CSV_ROW_TEXTS}
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for text, functions in found.items():
+                if text in node.value:
+                    functions.add(f"{module}: {'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return found
+
+
+def test_each_csv_row_message_is_written_in_one_function():
+    holders = _text_holders({p.name: p.read_text(encoding="utf-8") for p in SOURCES})
+    assert all(len(functions) == 1 for functions in holders.values()), holders
+
+
+def test_the_check_finds_a_csv_row_message_written_twice():
+    sources = {
+        "a.py": '"""Rows that are not sorted: no data rows."""\n'
+                'def read(p):\n    """Docs may say non-finite coordinate."""\n'
+                '    raise ValueError(f"{p}: line 1: rows not sorted by (demo_id, t)")\n\n'
+                'class R:\n    def rows(self, n):\n'
+                '        def fault():\n            return f"expected {n} fields"\n'
+                '        return fault, "rows not sorted by (demo_id, t)"\n',
+        "b.py": 'EMPTY = "no data rows"\n\ndef close(d):\n'
+                '    message = f"demo {d} has fewer than 2 frames"\n    return message\n',
+    }
+    assert _text_holders(sources) == {
+        "non-finite coordinate": set(),
+        "rows not sorted by (demo_id, t)": {"a.py: read", "a.py: R.rows"},
+        "has fewer than 2 frames": {"b.py: close"},
+        "no data rows": {"b.py: "},
+        "fields": {"a.py: R.rows.fault"},
+    }
 
 
 def _interval_callers(source: str) -> list[str]:
