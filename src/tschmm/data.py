@@ -64,13 +64,6 @@ class DimensionSplit:
     def dim(self) -> int:
         return len(self.human_idx) + len(self.robot_idx)
 
-    def restrict(self, dims: Sequence[int]) -> "DimensionSplit":
-        """Split over the subspace selected by `dims`, with remapped positions."""
-        dims = _index_tuple("dims", dims, self.dim)
-        human = tuple(p for p, d in enumerate(dims) if d in self.human_idx)
-        robot = tuple(p for p, d in enumerate(dims) if d in self.robot_idx)
-        return DimensionSplit(human, robot)
-
 
 def _check_arg(name: str, value, kind: str, least: int) -> None:
     """Reject `value` unless it is of `kind` ("int" or "float"), not a bool, finite and
@@ -193,11 +186,6 @@ class FeatureSequence:
     @property
     def width(self) -> int:
         return self.frames.shape[1]
-
-    def restrict(self, dims: Sequence[int]) -> "FeatureSequence":
-        """Sub-sequence over the selected dimensions, split remapped."""
-        dims = _index_tuple("dims", dims, self.width)
-        return FeatureSequence(self.frames[:, list(dims)], self.split.restrict(dims))
 
 
 @dataclass(frozen=True)
@@ -379,11 +367,6 @@ SYNTH_KINDS = ("handshake", "rocket_fistbump", "parachute_fistbump")
 _ROBOT_LAG = 2  # frames the robot trails the (clean) human trajectory
 
 
-def _minjerk(u: np.ndarray) -> np.ndarray:
-    """Minimum-jerk time profile on [0, 1]; rest at both ends."""
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
 def _arrive(u: np.ndarray) -> np.ndarray:
     """Start at rest, arrive at full speed (contact is an impact)."""
     return 1.0 - np.cos(0.5 * np.pi * u)
@@ -394,8 +377,8 @@ def _depart(u: np.ndarray) -> np.ndarray:
     return np.sin(0.5 * np.pi * u)
 
 
-def _segment(p0: np.ndarray, p1: np.ndarray, n: int, profile=_minjerk) -> np.ndarray:
-    """n frames from p0 toward p1, end-exclusive so phases chain cleanly."""
+def _segment(p0: np.ndarray, p1: np.ndarray, n: int, profile) -> np.ndarray:
+    """n frames from p0 toward p1 along `profile`, end-exclusive so phases chain cleanly."""
     u = np.arange(n) / n
     s = profile(u)
     return p0 + s[:, None] * (p1 - p0)

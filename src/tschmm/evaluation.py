@@ -15,8 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import tsc
-from .data import (Dataset, FeatureSequence, _check_arg, _check_type, _position_dims,
-                   build_features, sample_batch)
+from .data import (Dataset, DimensionSplit, FeatureSequence, _check_arg, _check_type,
+                   _position_dims, build_features, sample_batch)
 from .hmm import TrainingError, baum_welch, gmr_predict, init_temporal_bins
 
 __all__ = [
@@ -100,6 +100,7 @@ def run_single(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[float, fl
     split = feats[0].split
     human_idx = list(split.human_idx)
     robot_idx = list(split.robot_idx)
+    human_split = DimensionSplit(tuple(range(len(human_idx))), ())
     try:
         init = init_temporal_bins(feats, cfg.base_states, cfg.reg_eps)
         base, _ = baum_welch(init, feats, cfg.max_iter, cfg.tol, cfg.reg_eps)
@@ -109,10 +110,12 @@ def run_single(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[float, fl
         hmm_scores = []
         tsc_scores = []
         for demo in test.demos:
-            feat = build_features(demo)
-            human = feat.restrict(human_idx)
-            truth = feat.restrict(robot_idx)
-            hmm_scores.append(mse(gmr_predict(base, human), truth))
+            frames = build_features(demo).frames
+            human = FeatureSequence(frames[:, human_idx], human_split)
+            base_pred = gmr_predict(base, human)
+            # mse takes the truth under the split of the rows it scores
+            truth = FeatureSequence(frames[:, robot_idx], base_pred.split)
+            hmm_scores.append(mse(base_pred, truth))
             tsc_scores.append(mse(tsc.predict(model, human), truth))
     except (TrainingError, np.linalg.LinAlgError) as exc:
         raise TrainingError(f"run failed for seed {seed}: {exc}") from exc

@@ -147,7 +147,7 @@ class _Regression(NamedTuple):
     log_norms: np.ndarray  # (S,): H log 2 pi + log det of each block, `_log_norm`
     gains: np.ndarray  # (S, R, H): the conditional robot mean is gain @ x + offset
     offsets: np.ndarray  # (S, R)
-    split: DimensionSplit  # of the predicted rows, split.restrict(split.robot_idx)
+    split: DimensionSplit  # of the predicted rows: robot dims only, renumbered from 0
 
 
 @dataclass(frozen=True)

@@ -218,9 +218,8 @@ def test_predict_csv_agrees_with_library_score(workdir, data_csv, trained):
     robot_idx = list(model.base.split.robot_idx)
     for demo_id, demo in enumerate(ds.demos):
         feat = build_features(demo)
-        pred = tsc.predict(model, feat.restrict(human_idx))
-        truth = feat.restrict(robot_idx)
-        want = mse(pred, truth)
+        pred = tsc.predict(model, feat.frames[:, human_idx])
+        want = mse(pred, FeatureSequence(feat.frames[:, robot_idx], pred.split))
 
         demo_rows = [r for r in rows if int(r[0]) == demo_id]
         err = np.array(
@@ -293,7 +292,7 @@ def test_predict_and_segment_write_the_reference_bytes(workdir, data_csv, traine
     pred_rows, seg_rows = [], []
     for demo_id, demo in enumerate(ds.demos):
         feat = build_features(demo)
-        pred = tsc.predict(model, feat.restrict(human_idx)).frames
+        pred = tsc.predict(model, feat.frames[:, human_idx]).frames
         joint = viterbi_labels(model.base, feat)
         human = viterbi_labels(model.base, feat.frames[:, human_idx], human_idx)
         windowed = tsc.dilate_mask(joint != human, model.window)

@@ -63,16 +63,6 @@ def test_standard_split_layout():
     assert build_features(_tiny_demo()).split is split
 
 
-def test_split_restrict_remaps_positions():
-    split = standard_split()
-    sub = split.restrict([4, 5, 6, 7])
-    assert sub.human_idx == (0, 1)
-    assert sub.robot_idx == (2, 3)
-    robot_only = split.restrict(list(split.robot_idx))
-    assert robot_only.human_idx == ()
-    assert robot_only.robot_idx == (0, 1, 2, 3, 4, 5)
-
-
 # --- Demonstration and FeatureSequence --------------------------------------
 
 def test_demonstration_validates_shape_and_length():
@@ -85,31 +75,6 @@ def test_demonstration_validates_shape_and_length():
         Demonstration(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="finite"):
         Demonstration(np.full((2, 3), np.nan), ok)
-
-
-def test_feature_sequence_accessors_and_restrict():
-    frames = np.arange(24.0).reshape(2, 12)
-    feat = FeatureSequence(frames, standard_split())
-    sub = feat.restrict([0, 6])
-    assert sub.split.human_idx == (0,)
-    assert sub.split.robot_idx == (1,)
-    assert np.array_equal(sub.frames, frames[:, [0, 6]])
-
-
-@pytest.mark.parametrize("dims, message", [
-    ([99], "contains out-of-range entries for dimension 12"),
-    ([-1], "contains out-of-range entries for dimension 12"),
-    ([], "must be a non-empty index list"),
-    (None, "must be a sequence of integers, got NoneType"),
-    ([0.5], "must hold integers"),
-    ([6, 0], "must be strictly increasing"),
-])
-def test_restrict_reads_dims_by_the_index_rule(dims, message):
-    # an out-of-range dim used to give an empty split or numpy's IndexError
-    feat = FeatureSequence(np.zeros((2, 12)), standard_split())
-    for restrict in (feat.split.restrict, feat.restrict):
-        with pytest.raises(ValueError, match=f"^dims {re.escape(message)}$"):
-            restrict(dims)
 
 
 def test_feature_sequence_rejects_width_mismatch():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tschmm import evaluation
 from tschmm.data import (
     Dataset,
     Demonstration,
@@ -159,6 +160,27 @@ def test_run_single_wraps_training_failures():
         run_single(ds, cfg, seed=0)
 
 
+@pytest.mark.parametrize("n_test", [15, 25])
+def test_run_single_builds_its_splits_once_for_all_held_out_demos(n_test, monkeypatch):
+    # the held-out demos are scored on column slices under splits built once
+    # per call, so the count does not grow with the number of held-out demos
+    ds = _mirror_dataset(n_demos=4 + n_test, t_total=40)
+    # more transition states than mismatch samples: both runs fall back
+    cfg = ExperimentConfig(base_states=2, tsc_states=50, batch_size=4, n_seeds=1)
+    # one human split, and the output split of the base model's predictions
+    want = [DimensionSplit((0, 1, 2, 3, 4, 5), ()), DimensionSplit((), (0, 1, 2, 3, 4, 5))]
+    built = []
+    post_init = DimensionSplit.__post_init__
+
+    def counted(split):
+        built.append(split)
+        post_init(split)
+
+    monkeypatch.setattr(DimensionSplit, "__post_init__", counted)
+    run_single(ds, cfg, seed=0)
+    assert built == want
+
+
 # --- run_experiment --------------------------------------------------------------
 
 def test_run_experiment_single_seed_matches_run_single():
@@ -184,6 +206,34 @@ def test_run_experiment_aggregates_population_moments():
     assert res.hmm_mse_mean == pytest.approx(hmm_vals.mean(), rel=1e-12)
     assert res.hmm_mse_std == pytest.approx(hmm_vals.std(ddof=0), rel=1e-12)
     assert res.n_runs == 3
+
+
+def _failing_on(monkeypatch, failing):
+    """Make run_single fail on the seeds in `failing` and score every other seed s as (s, 2s)."""
+
+    def fake(ds, cfg, seed):
+        if seed in failing:
+            raise TrainingError(f"run failed for seed {seed}: planted")
+        return float(seed), 2.0 * seed
+
+    monkeypatch.setattr(evaluation, "run_single", fake)
+
+
+def test_run_experiment_counts_failed_seeds(monkeypatch):
+    _failing_on(monkeypatch, {1, 4})
+    cfg = ExperimentConfig(n_seeds=6)
+    report = run_experiment(_mirror_dataset(n_demos=2, t_total=8), cfg)
+    res = report.rows[0]
+    assert (res.n_runs, res.n_failed) == (4, 2)
+    assert res.hmm_mse_mean == np.mean([0.0, 2.0, 3.0, 5.0])
+    assert res.tsc_mse_mean == np.mean([0.0, 4.0, 6.0, 10.0])
+    assert render_table(report).splitlines()[1].endswith("  4 (2 failed)")
+
+
+def test_run_experiment_raises_when_every_seed_fails(monkeypatch):
+    _failing_on(monkeypatch, set(range(3)))
+    with pytest.raises(TrainingError, match="^all 3 seeds failed$"):
+        run_experiment(_mirror_dataset(n_demos=2, t_total=8), ExperimentConfig(n_seeds=3))
 
 
 # --- rendering --------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_training_entry_point_returns_or_fails_with_a_message(short, model, name
     # the wrong model type, and a model, a split or frames of another split
     # where an array or a list belongs
     others = [model, model.base, model.base.emissions[0], model.base.split,
-              feats[0].restrict(range(6))]
+              FeatureSequence(feats[0].frames[:, :6], DimensionSplit(tuple(range(6)), ()))]
     at = data.draw(st.integers(0, len(args) - 1))
     args[at] = _mutated(data, args[at], others)
     with warnings.catch_warnings():

@@ -90,23 +90,32 @@ _G1 = GaussianState([0.0], [[1.0]])
 _SPLIT1 = DimensionSplit((0,), ())
 
 
-@pytest.mark.parametrize("cls, args, field", [
-    pytest.param(GaussianState, ([0.0], "x"), "cov", id="cov-text"),
-    pytest.param(GaussianState, ("x", [[1.0]]), "mean", id="mean-text"),
-    pytest.param(GaussianState, (None, [[1.0]]), "mean", id="mean-None"),
-    pytest.param(GaussianState, ([0.0], {}), "cov", id="cov-dict"),
-    pytest.param(GaussianState, ([[0.0], [0.0, 1.0]], np.eye(2)), "mean", id="mean-ragged"),
-    pytest.param(HmmModel, (["a"], [[1.0]], (_G1,), _SPLIT1), "priors", id="priors-text"),
-    pytest.param(HmmModel, ([1.0], None, (_G1,), _SPLIT1), "transitions", id="transitions-None"),
-    pytest.param(HmmModel, ([1.0], [[object()]], (_G1,), _SPLIT1), "transitions",
+@pytest.mark.parametrize("cls, args, message", [
+    pytest.param(GaussianState, ([0.0], "x"), "cov must ", id="cov-text"),
+    pytest.param(GaussianState, ("x", [[1.0]]), "mean must ", id="mean-text"),
+    pytest.param(GaussianState, (None, [[1.0]]), "mean must ", id="mean-None"),
+    pytest.param(GaussianState, ([0.0], {}), "cov must ", id="cov-dict"),
+    pytest.param(GaussianState, ([[0.0], [0.0, 1.0]], np.eye(2)), "mean must ", id="mean-ragged"),
+    pytest.param(GaussianState, ([[0.0], [1.0]], np.eye(2)), "mean must be a vector",
+                 id="mean-matrix"),
+    pytest.param(HmmModel, (["a"], [[1.0]], (_G1,), _SPLIT1), "priors must ", id="priors-text"),
+    pytest.param(HmmModel, ([1.0], None, (_G1,), _SPLIT1), "transitions must ",
+                 id="transitions-None"),
+    pytest.param(HmmModel, ([1.0], [[object()]], (_G1,), _SPLIT1), "transitions must ",
                  id="transitions-object"),
-    pytest.param(DimensionSplit, (None, (1,)), "human_idx", id="human_idx-None"),
-    pytest.param(DimensionSplit, ((0,), "1"), "robot_idx", id="robot_idx-text"),
-    pytest.param(DimensionSplit, ((0.0,), (1,)), "human_idx", id="human_idx-float"),
-    pytest.param(DimensionSplit, ((0,), (True,)), "robot_idx", id="robot_idx-bool"),
+    pytest.param(HmmModel, ([], [[1.0]], (_G1,), _SPLIT1), "priors must be a non-empty vector",
+                 id="priors-empty"),
+    pytest.param(HmmModel, ([0.5, 0.5], [[1.5, -0.5], [0.5, 0.5]], (_G1, _G1), _SPLIT1),
+                 "transitions must be non-negative", id="transitions-negative"),
+    pytest.param(FeatureSequence, (np.zeros(1), _SPLIT1), "frames must be a (T, D) matrix",
+                 id="frames-vector"),
+    pytest.param(DimensionSplit, (None, (1,)), "human_idx must ", id="human_idx-None"),
+    pytest.param(DimensionSplit, ((0,), "1"), "robot_idx must ", id="robot_idx-text"),
+    pytest.param(DimensionSplit, ((0.0,), (1,)), "human_idx must ", id="human_idx-float"),
+    pytest.param(DimensionSplit, ((0,), (True,)), "robot_idx must ", id="robot_idx-bool"),
 ])
-def test_constructors_name_the_bad_field(cls, args, field):
-    with pytest.raises(ValueError, match=f"^{field} must "):
+def test_constructors_name_the_bad_field(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         cls(*args)
 
 
@@ -158,10 +167,11 @@ def test_forward_log_likelihood_matches_path_enumeration():
 
 
 def _marginal_model(model, dims):
-    """The model's marginal on `dims` built as a sub-model, the reference
-    that forward(dims=) must match without building one."""
+    """The model's marginal on its human `dims` built as a sub-model, the
+    reference that forward(dims=) must match without building one."""
     emissions = tuple(marginalize(g, dims) for g in model.emissions)
-    return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
+    split = DimensionSplit(tuple(range(len(dims))), ())
+    return HmmModel(model.priors, model.transitions, emissions, split)
 
 
 def test_forward_dims_equivalent_to_marginal_model():
@@ -219,6 +229,21 @@ def test_dims_must_be_integers():
             forward(model, frames, bad)
         with pytest.raises(ValueError, match="^dims must hold integers"):
             viterbi_labels(model, frames, bad)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ([99], "contains out-of-range entries for dimension 12"),
+    ([-1], "contains out-of-range entries for dimension 12"),
+    ([], "must be a non-empty index list"),
+    (5, "must be a sequence of integers, got int"),
+    ([0.5], "must hold integers"),
+    ([6, 0], "must be strictly increasing"),
+])
+def test_forward_reads_dims_by_the_index_rule(dims, message):
+    model = _model_from_params(*random_hmm_params(np.random.default_rng(3), 2, 12))
+    for call in (forward, viterbi_labels):
+        with pytest.raises(ValueError, match=f"^dims {re.escape(message)}$"):
+            call(model, np.zeros((2, 12)), dims)
 
 
 # --- init_temporal_bins ---------------------------------------------------------
@@ -286,6 +311,10 @@ def test_init_bins_validates_inputs():
         init_temporal_bins([np.zeros((2, 1))], 3, eps=0.1)
     with pytest.raises(ValueError, match="dimension"):
         init_temporal_bins([np.zeros((4, 1)), np.zeros((4, 2))], 2, eps=0.1)
+    split_demos = [FeatureSequence(np.zeros((4, 2)), DimensionSplit((0, 1), ())),
+                   FeatureSequence(np.zeros((4, 2)), DimensionSplit((0,), (1,)))]
+    with pytest.raises(ValueError, match="^demos carry inconsistent dimension splits$"):
+        init_temporal_bins(split_demos, 2, eps=0.1)
 
 
 # --- baum_welch -------------------------------------------------------------------

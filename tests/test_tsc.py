@@ -282,6 +282,29 @@ def test_transition_runs_equal_the_per_demo_cut_bit_for_bit(criterion6_split, mo
     assert [_bits(runs) for runs in calls] == [_bits(expected)]
 
 
+def test_transition_hmm_without_a_long_run_initializes_from_the_pooled_samples(
+        criterion6_split, monkeypatch):
+    # with 7 states, every masked run is shorter than 7 frames, yet there are
+    # enough samples: the bins come from all samples as one stretch
+    base, feats, _ = criterion6_split
+    samples, masks = detect_transition_states(base, feats, w=2)
+    assert len(samples) >= 7 * (base.dim + 1)
+    assert max(max(tsc._run_lengths(m), default=0) for m in masks) < 7
+    seen = []
+
+    def recorded(demos, num_states, eps):
+        seen.append(demos)
+        return init_temporal_bins(demos, num_states, eps)
+
+    monkeypatch.setattr(tsc, "init_temporal_bins", recorded)
+    model = fit(base, feats, num_states=7, w=2)
+    assert not model.fallback and model.transition.num_states == 7
+    [stretches] = seen
+    assert len(stretches) == 1
+    assert np.array_equal(stretches[0].frames, samples)
+    assert stretches[0].split == base.split
+
+
 def test_fit_and_detect_check_their_inputs_up_front():
     ds, _ = synth_generate("rocket_fistbump", n_demos=8, noise_sigma=0.005, seed=0)
     feats = [build_features(d) for d in ds.demos]
@@ -632,13 +655,23 @@ def test_predict_factors_each_human_block_once(trained_kind, monkeypatch):
 
 def test_prediction_builds_its_output_split_once_without_restrict(trained_kind, monkeypatch):
     model, held_out = trained_kind
-    base = model.base
-    want = base.split.restrict(base.split.robot_idx)
-    fresh = HmmModel(base.priors, base.transitions, base.emissions, base.split)
-    monkeypatch.setattr(DimensionSplit, "restrict", lambda *a: pytest.fail("restrict called"))
-    first = predict(TscModel(fresh, model.transition, model.window), held_out[0]).split
+    want = DimensionSplit((), tuple(range(len(model.base.split.robot_idx))))
+    fresh_base, fresh_trans = (HmmModel(m.priors, m.transitions, m.emissions, m.split)
+                               for m in (model.base, model.transition))
+    built = []
+    post_init = DimensionSplit.__post_init__
+
+    def counted(split):
+        built.append(split)
+        post_init(split)
+
+    monkeypatch.setattr(DimensionSplit, "__post_init__", counted)
+    first = predict(TscModel(fresh_base, fresh_trans, model.window), held_out[0]).split
+    assert gmr_predict(fresh_base, held_out[1]).split is first
+    predict(TscModel(fresh_base, fresh_trans, model.window), held_out[2])
+    # one output split per model, built with its regression factors
+    assert built == [want, want]
     assert first == want
-    assert gmr_predict(fresh, held_out[1]).split is first
 
 
 def test_training_builds_no_regression_factors(criterion6_split, monkeypatch):
@@ -724,9 +757,10 @@ def test_viterbi_labels_are_the_forward_argmax(criterion6_split):
 
 
 def _marginal_model(model, dims):
-    """The model's marginal on `dims` built as a sub-model."""
+    """The model's marginal on its human `dims` built as a sub-model."""
     emissions = tuple(marginalize(g, dims) for g in model.emissions)
-    return HmmModel(model.priors, model.transitions, emissions, model.split.restrict(dims))
+    split = DimensionSplit(tuple(range(len(dims))), ())
+    return HmmModel(model.priors, model.transitions, emissions, split)
 
 
 def _marginal_model_labels(base, seqs, dims):
