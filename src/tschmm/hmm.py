@@ -6,12 +6,12 @@ Baum-Welch re-estimation with covariance regularization, per-frame
 most-likely-state labels, and conditional prediction of the unobserved
 dimensions by Gaussian mixture regression.
 
-One kernel runs every forward and backward recursion: the E-step, the
-per-frame labels and prediction all hand it the emission densities of
-their sequences stored back to back, and it steps through time once for
-the whole batch, each sequence stopping at its own length. A single
-sequence is a batch of one. Only the E-step, whose statistics ignore each
-row's scale, normalizes less often than at every step.
+One kernel runs every recursion: the E-step, the per-frame labels and
+prediction hand it the emission densities of sequences stored back to
+back, and one loop steps the batch through time, the E-step's backward
+pass in its forward pass's steps. Labels and prediction get the rows a
+batch of one would; the E-step, whose statistics ignore each row's scale,
+need not, and normalizes only every few steps.
 
 Emission densities enter the recursions through their log values; each step
 shifts by the largest log density before exponentiating, so the scaled
@@ -233,21 +233,24 @@ def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> 
     return out
 
 
-def _failed_frame(bad: np.ndarray, backward: bool = False) -> str:
-    """Name the frame where the first flagged sequence failed: its first
+def _failed_frame(bad: np.ndarray, valid: np.ndarray, backward: bool = False) -> str:
+    """Name the frame where the first flagged sequence failed, from flags on
+    the stored rows and the (N, T) mask of each sequence's frames: its first
     flagged frame, or its last when the recursion ran backward in time
     (a failure leaves every frame the recursion reaches after it flagged)."""
-    n = int(np.argmax(bad.any(axis=1)))
-    frames = np.flatnonzero(bad[n])
+    flags = np.zeros(valid.shape, dtype=bool)
+    flags[valid] = bad
+    n = int(np.argmax(flags.any(axis=1)))
+    frames = np.flatnonzero(flags[n])
     t = frames[-1] if backward else frames[0]
-    return f"frame {t}" if bad.shape[0] == 1 else f"frame {t} of sequence {n}"
+    return f"frame {t}" if flags.shape[0] == 1 else f"frame {t} of sequence {n}"
 
 
 class _Passes(NamedTuple):
     a_hat: np.ndarray  # (F, S) forward variables, normalized at each renormalizing step
     log_c: np.ndarray  # (N, T) log scaling constants, 0 past each length
-    b_hat: np.ndarray  # (F, S) shifted emission likelihoods
-    beta_hat: np.ndarray | None  # (F, S) backward variables, renormalized likewise
+    beta_hat: np.ndarray | None  # (F, S) backward variables, rows of sum 1 but each last (1s)
+    c_hat: np.ndarray | None  # (F, S) b_hat * beta_hat, each row to a scale of its own
 
 
 def _forward_backward(
@@ -262,110 +265,106 @@ def _forward_backward(
 
     `log_b` holds (F, S) emission log-densities of sequences stored back to
     back, and the passes return rows in the same order; only the scaling
-    constants come back padded, as an (N, T) array. Inside, the rows are
-    padded time-major, (T, N, S), so each step touches one contiguous block.
-    Each frame is shifted by its largest log density before exponentiating;
-    the forward variables are normalized per step and the log of each
-    normalizer plus the shift is that step's scaling constant, so a
-    sequence's log-likelihood is the sum of its constants (Rabiner 1989,
-    section V-A). The backward variables are renormalized per step as
-    well, the scale cancelling in the posteriors, and restart at 1 on each
-    sequence's own last frame. Padded frames are computed but never used.
+    constants come back padded, as an (N, T) array. Each frame is shifted by
+    its largest log density before exponentiating; the forward variables are
+    normalized per step and the log of each normalizer plus the shift is
+    that step's scaling constant, so a sequence's log-likelihood is the sum
+    of its constants (Rabiner 1989, section V-A).
 
-    With `interval` k > 1 (the E-step's), both passes normalize only every
-    k-th step and at their last, counting from the first frame forward and
-    from the last padded frame backward. Posteriors cancel each row's scale;
-    a last frame no normalization fell on adds the log of its mass to its
-    constant. As b_hat <= 1 and rows of trans sum to 1, a block's mass can
-    only fall, so a normalizer ending one at or below `_RENORM_FLOOR` reruns
-    the call at interval 1, whose rows and errors are the per-step ones.
+    One loop steps the batch through time on rows padded time-major, one
+    contiguous block per step; padded frames are computed but never used.
+    Without `backward` the block is (N, 1, S), a stack of per-sequence
+    vector-matrix products, so each sequence's forward variables equal, bit
+    for bit, those of a batch holding it alone. With it the block is
+    (2, N, S), one product per member: member 0 is the forward pass, and
+    member 1 runs c_t = b_hat_t * beta_t = b_hat_t * (c_t+1 @ trans.T) back
+    from each sequence's last frame, where beta is 1, so its step j holds
+    frame T_k - 1 - j of sequence k. One product then recovers each beta_t
+    as c_t+1 @ trans.T, scaled to sum to 1. The E-step's statistics cancel
+    each row's scale, so its forward rows need not round like a batch of one.
 
-    The batch steps through time together. Each forward step is a stack of
-    per-sequence vector-matrix products rather than one matrix product, so
-    every sequence's forward variables equal, bit for bit, those of a batch
-    holding that sequence alone.
+    With `interval` k > 1 (the E-step's), the block normalizes only every
+    k-th step and at its last; a last frame no normalization fell on adds
+    the log of its mass to its constant. As b_hat <= 1 and rows of trans sum
+    to 1, forward mass can only fall, so a normalizer or a backward row sum
+    at or below `_RENORM_FLOOR` reruns the call at interval 1, whose errors
+    are the per-step ones.
     """
     valid = np.arange(lengths.max()) < lengths[:, None]
     n, t_max, s = *valid.shape, log_b.shape[1]
-    # the kernel steps time-major: frame t of sequence k is row t * n + k
-    pos = np.arange(t_max * n).reshape(t_max, n).T[valid]
-    # the padding is zero and so can fail none of the checks below
-    b_hat = np.zeros((t_max * n, s))
-    b_hat[pos] = log_b
-    shift = b_hat.max(axis=1)
+    shift = functools.reduce(np.maximum, log_b.T)
     if not np.isfinite(shift).all():
-        bad = ~np.isfinite(shift.reshape(t_max, n).T)
-        raise TrainingError(f"all states have zero emission likelihood at {_failed_frame(bad)}")
-    np.subtract(b_hat, shift[:, None], out=b_hat)
+        raise TrainingError("all states have zero emission likelihood at "
+                            f"{_failed_frame(~np.isfinite(shift), valid)}")
+    # the padding reads the last row, whose b_hat of 1 can fail none of the checks below
+    b_hat = np.zeros((len(log_b) + 1, s))
+    np.subtract(log_b, shift[:, None], out=b_hat[:-1])
     np.exp(b_hat, out=b_hat)
-    # each step reads and writes contiguous (N, 1, S) blocks: a stack of
-    # N one-row matrices, as the vector-matrix products below take them
-    b_hat = b_hat.reshape(t_max, n, 1, s)
 
-    # step j of either pass normalizes if j % interval == interval - 1 or it is its last
+    m = 2 if backward else 1
+    # frame t of sequence k is padded row t * m * n + k, member 1's rows follow
+    pos = np.arange(t_max * m * n).reshape(t_max, m, n)[:, 0].T[valid]
+    src = np.full(t_max * m * n, len(log_b))  # the row of b_hat each padded row reads
+    src[pos] = np.arange(len(log_b))
+    init, step = priors, trans
+    if backward:
+        ends = np.cumsum(lengths) - 1  # the stored row of each sequence's last frame
+        # member 1 steps through each sequence from its last frame back
+        rpos = pos[np.repeat(2 * ends - lengths + 1, lengths) - np.arange(len(log_b))] + n
+        src[rpos] = np.arange(len(log_b))
+        init, step = np.stack([priors, np.ones(s)])[:, None], np.stack([trans, trans.T])
+    # take() gathers rows far faster than fancy indexing does
+    b = np.take(b_hat, src, axis=0).reshape(t_max, *((2, n) if backward else (n, 1)), s)
+
+    # step j normalizes if j % interval == interval - 1 or it is the last
     marks = ([False] * (interval - 1) + [True]) * (t_max // interval + 1)
     marks[t_max - 1] = True
-    a_hat = np.empty((t_max, n, 1, s))
-    total = np.ones((t_max, n, 1, 1))
+    a = np.empty_like(b)
+    total = np.ones((*b.shape[:-1], 1))
     floor = 0.0 if interval == 1 else _RENORM_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(priors, b_hat[0], out=a_hat[0])
+        np.multiply(init, b[0], out=a[0])
         # stepping over per-frame views spares indexing by t on every step
         a_prev = None
-        for a_t, b_t, total_t, renorm in zip(a_hat, b_hat, total, marks):
+        for a_t, b_t, total_t, renorm in zip(a, b, total, marks):
             if a_prev is not None:
-                np.matmul(a_prev, trans, out=a_t)
+                np.matmul(a_prev, step, out=a_t)
                 a_t *= b_t
             if renorm:
-                np.add.reduce(a_t, axis=2, keepdims=True, out=total_t)
+                np.add.reduce(a_t, axis=-1, keepdims=True, out=total_t)
                 a_t /= total_t
             a_prev = a_t
+        rows = a.reshape(t_max * m * n, s)
+        total = total.reshape(t_max, m * n)  # the forward normalizers, then member 1's
         if interval > 1:  # a last frame no normalization fell on adds the log of its mass
             k = np.flatnonzero(~np.array(marks)[lengths - 1])
-            total[lengths[k] - 1, k] = a_hat[lengths[k] - 1, k].sum(axis=2, keepdims=True)
-        total = total.reshape(t_max, n)
+            total[lengths[k] - 1, k] = rows[(lengths[k] - 1) * m * n + k].sum(axis=1)
         ok = np.isfinite(total) & (total > floor)
-        if not ok.all():
-            if interval > 1:
-                return _forward_backward(priors, trans, log_b, lengths, backward)
-            raise TrainingError(f"forward mass vanished at {_failed_frame(~ok.T)}")
-        log_c = (np.log(total) + shift.reshape(t_max, n)).T * valid
+        if interval > 1 and not ok.all():
+            return _forward_backward(priors, trans, log_b, lengths, backward)
+        if not ok[:, :n].all():
+            bad = ~ok[:, :n].T[valid]
+            raise TrainingError(f"forward mass vanished at {_failed_frame(bad, valid)}")
+        log_c = np.zeros((n, t_max))
+        log_c[valid] = np.log(total[:, :n].T[valid]) + shift
 
-        beta_hat = None
+        beta_hat = c_hat = None
         if backward:
-            b_flat = b_hat.reshape(t_max, n, s)
-            beta_hat = np.empty((t_max, n, s))
-            beta_hat[-1] = 1.0
-            # the sequences whose last frame is t, keyed by t
-            ends: dict[int, list[int]] = {}
-            for k, length in enumerate(lengths.tolist()):
-                ends.setdefault(length - 1, []).append(k)
-            norm = np.ones((t_max, n, 1))
-            c = np.empty((n, s))
-            trans_t = trans.T
-            # frame t, step t_max - 1 - t, reads frame t + 1, both as views
-            steps = zip(range(t_max - 2, -1, -1), b_flat[:0:-1], beta_hat[:0:-1],
-                        beta_hat[-2::-1], norm[-2::-1], marks[1:])
-            for t, b_next, beta_next, beta_t, norm_t, renorm in steps:
-                np.multiply(b_next, beta_next, out=c)
-                np.matmul(c, trans_t, out=beta_t)
-                if renorm:
-                    np.add.reduce(beta_t, axis=1, keepdims=True, out=norm_t)
-                    beta_t /= norm_t
-                if t in ends:
-                    beta_t[ends[t]] = 1.0
-            norm = norm.reshape(t_max, n)
-            ok = np.isfinite(norm) & (norm > floor)
+            c_hat = np.take(rows, rpos, axis=0)
+            beta_hat = np.empty_like(c_hat)
+            np.matmul(c_hat[1:], trans.T, out=beta_hat[:-1])
+            beta_hat[ends] = 1.0
+            mass = functools.reduce(np.add, beta_hat.T)
+            ok = np.isfinite(mass) & (mass > floor)
             if not ok.all():
                 if interval > 1:
                     return _forward_backward(priors, trans, log_b, lengths, backward)
                 raise TrainingError(
-                    f"backward mass vanished at {_failed_frame(~ok.T, backward=True)}"
+                    f"backward mass vanished at {_failed_frame(~ok, valid, backward=True)}"
                 )
-            beta_hat = beta_hat.reshape(t_max * n, s)[pos]
-    return _Passes(
-        a_hat.reshape(t_max * n, s)[pos], log_c, b_hat.reshape(t_max * n, s)[pos], beta_hat
-    )
+            beta_hat /= mass[:, None]
+            beta_hat[ends] = 1.0
+    return _Passes(np.take(rows, pos, axis=0), log_c, beta_hat, c_hat)
 
 
 def _filtered_labels(model: HmmModel, seqs: Sequence, dims: Sequence[int]) -> list[np.ndarray]:
@@ -455,21 +454,21 @@ def _e_step(
     trans = model.transitions
     # one Cholesky per state for the whole batch
     log_b = _log_emissions(model, pooled, np.arange(model.dim))
-    a_hat, log_c, b_hat, beta_hat = _forward_backward(
+    a_hat, log_c, beta_hat, c_hat = _forward_backward(
         model.priors, trans, log_b, lengths, backward=True, interval=_EM_INTERVAL
     )
     joint = a_hat * beta_hat
-    row_tot = joint.sum(axis=1, keepdims=True)
+    row_tot = functools.reduce(np.add, joint.T)  # far faster than sum(axis=1) on thin rows
     if not np.all(np.isfinite(row_tot)) or np.any(row_tot <= 0):
         raise TrainingError("state posterior collapsed to zero mass")
-    gamma = joint / row_tot
+    gamma = joint / row_tot[:, None]
 
     # pairwise posteriors a_t(i) A(i, j) c_t+1(j) / Z_t, each summing to 1
     # over (i, j), accumulated without forming the (F-1, S, S) tensor; a
     # row pairs with the next one when both belong to the same sequence
-    a_prev = a_hat[:-1][pair]
-    c_next = (b_hat * beta_hat)[1:][pair]
-    slice_tot = ((a_prev @ trans) * c_next).sum(axis=1)
+    a_prev = np.compress(pair, a_hat[:-1], axis=0)  # compress() outpaces a mask index
+    c_next = np.compress(pair, c_hat[1:], axis=0)
+    slice_tot = functools.reduce(np.add, ((a_prev @ trans) * c_next).T)
     if not np.all(np.isfinite(slice_tot)) or np.any(slice_tot <= 0):
         raise TrainingError("pairwise posterior collapsed to zero mass")
     trans_acc = trans * ((a_prev / slice_tot[:, None]).T @ c_next)

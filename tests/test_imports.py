@@ -7,7 +7,7 @@ per-state density that prediction's stacked kernel replaced, stays gone,
 each input rule's message is raised by the one function that holds the rule,
 each CSV row message is written in one function, so one reader holds the row
 rules, and only the E-step renormalizes the forward-backward passes less than
-every step.
+every step or runs the backward pass.
 
 No linter ships with the project, so these tests stand in for the unused-
 import and dead-code checks. Package `__init__.py` files re-export what they
@@ -332,12 +332,15 @@ def test_the_check_finds_a_csv_row_message_written_twice():
     }
 
 
-def _interval_callers(source: str) -> list[str]:
-    """`function: line` for each call of `_forward_backward` that may pass a
-    renormalization interval: a sixth positional argument, `interval=`,
+def _option_callers(source: str, option: str, position: int) -> list[str]:
+    """`function: line` for each call of `_forward_backward` that may pass
+    `option`: a positional argument at index `position`, the keyword,
     `*args` or `**kwargs`. Prediction and labelling promise rows equal bit
-    for bit to a per-step normalized pass, so only the E-step, whose
-    statistics do not depend on each row's scale, may renormalize less often."""
+    for bit to a per-step normalized pass of a batch of one, so only the
+    E-step, whose statistics do not depend on each row's scale or rounding,
+    may renormalize less often (`interval`) or run the backward pass, which
+    takes the forward rows from one product over the whole batch
+    (`backward`)."""
     found = []
 
     def visit(node, scope):
@@ -347,8 +350,8 @@ def _interval_callers(source: str) -> list[str]:
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name == "_forward_backward" and (
-                    len(node.args) > 5 or any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(k.arg in ("interval", None) for k in node.keywords)):
+                    len(node.args) > position or any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg in (option, None) for k in node.keywords)):
                 found.append(f"{scope}: line {node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -357,9 +360,18 @@ def _interval_callers(source: str) -> list[str]:
     return found
 
 
+def _package_callers(option: str, position: int) -> list[str]:
+    return [c.split(":")[0] for p in SOURCES
+            for c in _option_callers(p.read_text(encoding="utf-8"), option, position)]
+
+
 def test_only_the_e_step_passes_a_renormalization_interval():
-    callers = [c for p in SOURCES for c in _interval_callers(p.read_text(encoding="utf-8"))]
-    assert [c.split(":")[0] for c in callers] == ["_e_step"], callers
+    assert _package_callers("interval", 5) == ["_e_step"]
+
+
+def test_only_the_e_step_runs_the_backward_pass():
+    # the kernel passes `backward` on where it reruns itself at interval 1
+    assert set(_package_callers("backward", 4)) == {"_e_step", "_forward_backward"}
 
 
 def test_the_check_finds_each_way_to_pass_an_interval():
@@ -367,6 +379,10 @@ def test_the_check_finds_each_way_to_pass_an_interval():
               "\ndef _gmr(m):\n    h = hmm._forward_backward(p, t, b, n, False, 8)\n"
               "    return _forward_backward(p, t, b, n, backward=False)\n"
               "\ndef predict(m):\n    _forward_backward(*args)\n"
-              "    return _forward_backward(p, t, b, n, **opts)\n")
-    assert _interval_callers(source) == ["_e_step: line 2", "_gmr: line 5", "predict: line 9",
-                                         "predict: line 10"]
+              "    return _forward_backward(p, t, b, n, **opts)\n"
+              "\ndef labels(m):\n    return _forward_backward(p, t, b, n, True)\n")
+    assert _option_callers(source, "interval", 5) == ["_e_step: line 2", "_gmr: line 5",
+                                                      "predict: line 9", "predict: line 10"]
+    assert _option_callers(source, "backward", 4) == [
+        "_e_step: line 2", "_gmr: line 5", "_gmr: line 6", "predict: line 9", "predict: line 10",
+        "labels: line 13"]
