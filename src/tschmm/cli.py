@@ -20,7 +20,7 @@ from .data import SYNTH_KINDS, _check_arg, build_features, load_csv, save_csv, s
 from .evaluation import ExperimentConfig, _config_rule, render_csv, render_table, run_experiment
 from .hmm import TrainingError, _check_split, baum_welch, init_temporal_bins
 from .model_io import load_model, save_model
-from .tsc import TscModel, detect_transition_states
+from .tsc import detect_transition_states
 
 __all__ = ["main"]
 
@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="segmentation CSV path")
-    _config_flag(p, "--window", "window", "dilation window when the model file has none")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="run the batched multi-seed experiment")
@@ -131,14 +130,10 @@ def _features(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _model_and_data(args, window: int):
-    """The model file as a TscModel, the dataset and its features, checked
-    to fit each other (`build_features` gives every demo one width). An
-    hmm-kind file has no window: it becomes a TscModel without a
-    transition HMM that dilates by `window`."""
+def _model_and_data(args):
+    """The model file's TscModel, the dataset and its features, checked
+    to fit each other (`build_features` gives every demo one width)."""
     model = load_model(args.model)
-    if not isinstance(model, TscModel):
-        model = TscModel(model, None, window)
     try:
         _check_split(model.base)
     except ValueError as exc:
@@ -165,7 +160,7 @@ def cmd_train(args) -> int:
         # the flags are valid by now, so the dataset is at fault
         raise ValueError(f"{args.data}: {exc}") from None
     save_model(model, args.out)
-    print(f"log-likelihood: {history[-1]!r} after {len(history) - 1} iterations")
+    print(f"log-likelihood: {history[-1]:.12g} after {len(history) - 1} iterations")
     print(f"transition samples: {len(samples)}")
     if model.fallback:
         print("too few transition samples; model falls back to the base HMM")
@@ -174,8 +169,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    # prediction never reads the window
-    model, ds, feats = _model_and_data(args, window=0)
+    model, ds, feats = _model_and_data(args)
     human_idx = list(model.base.split.human_idx)
     lengths = np.array([len(f) for f in feats])
     frames = np.vstack([f.frames for f in feats])[:, human_idx]
@@ -193,7 +187,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    model, ds, feats = _model_and_data(args, args.window)
+    model, ds, feats = _model_and_data(args)
     try:
         labels = tsc._segmentation(model.base, [f.frames for f in feats], model.window)
     except TrainingError as exc:

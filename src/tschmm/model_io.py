@@ -100,29 +100,30 @@ def _hmm_from_dict(d, where: str) -> HmmModel:
 
 
 def save_model(model, path) -> None:
-    if isinstance(model, TscModel):
-        payload = {
-            "base": _hmm_to_dict(model.base),
-            "transition": None if model.fallback else _hmm_to_dict(model.transition),
-            "window": model.window,
-            # gate is the only prediction rule; the key stays so that
-            # releases which still require it can read these files
-            "mode": "gate",
-            "fallback": model.fallback,
-        }
-        kind = "tsc"
-    elif isinstance(model, HmmModel):
-        payload = _hmm_to_dict(model)
-        kind = "hmm"
-    else:
+    """Write the TscModel `model` to `path` as a `tsc`-kind model file; keep an
+    HMM-only model as `save_model(TscModel(hmm, None, window), path)`. Raises
+    TypeError for any other object and OSError if `path` cannot be written."""
+    if not isinstance(model, TscModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    doc = {"format_version": FORMAT_VERSION, "model_kind": kind, "model": payload}
+    payload = {
+        "base": _hmm_to_dict(model.base),
+        "transition": None if model.fallback else _hmm_to_dict(model.transition),
+        "window": model.window,
+        # gate is the only prediction rule; the key stays so that
+        # releases which still require it can read these files
+        "mode": "gate",
+        "fallback": model.fallback,
+    }
+    doc = {"format_version": FORMAT_VERSION, "model_kind": "tsc", "model": payload}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_model(path):
+    """The TscModel in the `tsc`-kind model file at `path`. Raises OSError if it
+    cannot be read, and ValueError naming `path` if it is not JSON, has another
+    format_version or model_kind, or has a missing, mistyped or invalid field."""
     with open(path, "r", encoding="utf-8") as fh:
         # decode and JSON errors name a line but not the file; nesting too
         # deep for the decoder raises RecursionError
@@ -139,22 +140,20 @@ def load_model(path):
             f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
     kind = doc.get("model_kind")
+    if kind != "tsc":
+        raise ValueError(f"{path}: unknown model_kind {kind!r}")
     payload = doc.get("model")
     where = f"{path}: model"
-    if kind == "hmm":
-        return _hmm_from_dict(payload, where)
-    if kind == "tsc":
-        fallback = _field(payload, "fallback", bool, where)
-        # null after a fallback; otherwise checked as an HMM below
-        transition = _field(payload, "transition", object, where)
-        if fallback and transition is not None:
-            raise ValueError(f"{where}.transition must be null when fallback is true")
-        mode = payload.get("mode", "gate")
-        if mode != "gate":
-            raise ValueError(f"{where}.mode {mode!r} is no longer supported; use 'gate'")
-        base = _hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base")
-        if not fallback:
-            transition = _hmm_from_dict(transition, f"{where}.transition")
-        window = _field(payload, "window", int, where)
-        return _built(where, TscModel, base, transition, window)
-    raise ValueError(f"{path}: unknown model_kind {kind!r}")
+    fallback = _field(payload, "fallback", bool, where)
+    # null after a fallback; otherwise checked as an HMM below
+    transition = _field(payload, "transition", object, where)
+    if fallback and transition is not None:
+        raise ValueError(f"{where}.transition must be null when fallback is true")
+    mode = payload.get("mode", "gate")
+    if mode != "gate":
+        raise ValueError(f"{where}.mode {mode!r} is no longer supported; use 'gate'")
+    base = _hmm_from_dict(_field(payload, "base", dict, where), f"{where}.base")
+    if not fallback:
+        transition = _hmm_from_dict(transition, f"{where}.transition")
+    window = _field(payload, "window", int, where)
+    return _built(where, TscModel, base, transition, window)

@@ -77,8 +77,6 @@ def test_flag_defaults_are_the_experiment_config_defaults():
     args = parser.parse_args(["train", "--data", "d.csv", "--out", "m.json"])
     for name in ("base_states", "tsc_states", "reg_eps", "max_iter", "tol", "window"):
         assert getattr(args, name) == getattr(ExperimentConfig(), name)
-    args = parser.parse_args(["segment", "--model", "m", "--data", "d", "--out", "o"])
-    assert args.window == ExperimentConfig().window
 
 
 def test_synth_writes_dataset_and_boundary_sidecar(data_csv):
@@ -114,14 +112,32 @@ def test_synth_is_deterministic(workdir, data_csv):
     ).read_text().split("\n")[1:]
 
 
-def test_train_reports_progress_and_saves_model(trained):
+def test_train_reports_progress_and_saves_model(workdir, data_csv, trained, monkeypatch):
     path, out = trained
-    assert "log-likelihood: " in out
+    feats = [build_features(d) for d in load_csv(data_csv).demos]
+    _, history = hmm.baum_welch(init_temporal_bins(feats, 3, 1e-2), feats, 20, 1e-4, 1e-2)
+    assert out.startswith(f"log-likelihood: {format(history[-1], '.12g')} after "
+                          f"{len(history) - 1} iterations\n")
     assert "transition samples: " in out
     assert f"wrote model to {path}" in out
     model = load_model(path)
     assert isinstance(model, TscModel)
     assert not model.fallback
+    # a last-bit change in EM's arithmetic does not change what train prints
+    printed = set()
+    for last in (134457.1381460456, 134457.13814604562):  # one ulp apart
+
+        def ending_at(*args, _last=last):
+            base, lls = hmm.baum_welch(*args)
+            return base, [*lls[:-1], _last]
+
+        monkeypatch.setattr(cli, "baum_welch", ending_at)
+        rc, out, _ = run_cli("train", "--data", str(data_csv), "--states", "3",
+                             "--tsc-states", "2", "--max-iter", "3",
+                             "--out", str(workdir / "ulp.json"))
+        assert rc == 0
+        printed.add(out.splitlines()[0])
+    assert printed == {"log-likelihood: 134457.138146 after 3 iterations"}
 
 
 def test_train_detects_transition_states_once(workdir, data_csv, monkeypatch):
@@ -176,12 +192,11 @@ def test_predict_writes_one_row_per_frame(workdir, data_csv, trained):
     assert len(rows) - 1 == sum(len(d.human_pos) for d in ds.demos)
 
 
-@pytest.mark.parametrize("kind, marginals", [("tsc", 2), ("fallback", 1), ("hmm", 1)])
+@pytest.mark.parametrize("kind, marginals", [("tsc", 2), ("fallback", 1)])
 def test_predict_runs_one_kernel_pass_per_file(workdir, data_csv, trained, kind, marginals,
                                                monkeypatch):
     tsc_model = load_model(trained[0])
-    model = {"tsc": tsc_model, "fallback": TscModel(tsc_model.base, None, 2),
-             "hmm": tsc_model.base}[kind]
+    model = {"tsc": tsc_model, "fallback": TscModel(tsc_model.base, None, 2)}[kind]
     model_path = workdir / f"kernel_{kind}.json"
     save_model(model, model_path)
     calls = {"_forward_backward": 0, "_human_marginal": 0}
@@ -242,7 +257,7 @@ def test_predict_rejects_mismatched_dimensions(workdir, data_csv):
         split=DimensionSplit((0,), (1,)),
     )
     model_path = workdir / "tiny.json"
-    save_model(tiny, model_path)
+    save_model(TscModel(tiny, None, 2), model_path)
     for command in ("predict", "segment"):
         rc, _, err = run_cli(command, "--model", str(model_path),
                              "--data", str(data_csv),
@@ -322,7 +337,7 @@ def test_segment_single_state_model_never_mismatches(workdir, data_csv):
     feats = [build_features(d) for d in ds.demos]
     flat = init_temporal_bins(feats, 1, 1e-2)
     model_path = workdir / "flat.json"
-    save_model(flat, model_path)
+    save_model(TscModel(flat, None, 2), model_path)
     out_path = workdir / "seg1.csv"
     rc, _, _ = run_cli("segment", "--model", str(model_path),
                        "--data", str(data_csv), "--out", str(out_path))
@@ -513,7 +528,6 @@ NUMERIC_FLAGS = [
       for flag, kind, least in [("--states", "int", 1), ("--tsc-states", "int", 1),
                                 ("--reg", "float", 0), ("--max-iter", "int", 1),
                                 ("--tol", "float", 0), ("--window", "int", 0)]],
-    ("segment", "--window", "int", 0),
     ("eval", "--batch", "int", 1), ("eval", "--seeds", "int", 1),
 ]
 
@@ -769,20 +783,20 @@ def test_segment_window_beyond_every_demo_marks_whole_demos(workdir, data_csv, t
     assert body[:, 5].any()
 
 
-def test_segment_window_flag_applies_to_hmm_files_only(workdir, data_csv, trained):
-    model_path, _ = trained
-    base_path = workdir / "base_only.json"
-    save_model(load_model(model_path).base, base_path)
-    outs = {}
-    for name, path, window in [("tsc", model_path, None), ("tsc7", model_path, "7"),
-                               ("hmm3", base_path, "3")]:
-        outs[name] = workdir / f"seg_{name}.csv"
-        flags = [] if window is None else ["--window", window]
-        assert run_cli("segment", "--model", str(path), "--data", str(data_csv),
-                       "--out", str(outs[name]), *flags)[0] == 0
-    # a tsc file carries its window, so the flag changes nothing
-    assert outs["tsc"].read_bytes() == outs["tsc7"].read_bytes()
-    body = np.array(read_rows(outs["hmm3"])[1:], dtype=int)
-    for demo_id in np.unique(body[:, 0]):
-        rows = body[body[:, 0] == demo_id]
-        assert np.array_equal(rows[:, 5], tsc.dilate_mask(rows[:, 4], 3))
+def test_hmm_kind_files_and_segment_window_exit_two(workdir, data_csv, trained):
+    # an hmm-kind file of earlier releases held the bare base HMM as its model
+    path = _edited_model(workdir, trained, "hmm_kind.json", lambda doc: doc.update(
+        model_kind="hmm", model=doc["model"]["base"]))
+    for command in ("predict", "segment"):
+        out = workdir / f"hmm_kind_{command}.csv"
+        rc, _, err = run_cli(command, "--model", str(path), "--data", str(data_csv),
+                             "--out", str(out))
+        assert (rc, err) == (2, f"error: {path}: unknown model_kind 'hmm'\n")
+        assert not out.exists()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["segment", "--model", str(trained[0]), "--data", str(data_csv),
+              "--out", str(workdir / "seg_w3.csv"), "--window", "3"])
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(
+        "tschmm: error: unrecognized arguments: --window 3\n"), err.getvalue()

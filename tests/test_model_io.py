@@ -1,6 +1,7 @@
 """Round-trip and error-path tests for model serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,13 +33,6 @@ def _assert_same_hmm(a, b):
     for ga, gb in zip(a.emissions, b.emissions):
         assert np.array_equal(ga.mean, gb.mean)
         assert np.array_equal(ga.cov, gb.cov)
-
-
-def test_hmm_round_trip_is_exact(tmp_path):
-    model = _hmm(seed=1)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    _assert_same_hmm(load_model(path), model)
 
 
 def test_tsc_round_trip_is_exact(tmp_path):
@@ -74,19 +68,19 @@ def test_fallback_round_trip_keeps_null_transition(tmp_path):
 
 def test_file_layout(tmp_path):
     path = tmp_path / "model.json"
-    save_model(_hmm(), path)
+    save_model(TscModel(_hmm(), None, 2), path)
     text = path.read_text()
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["format_version"] == FORMAT_VERSION
-    assert doc["model_kind"] == "hmm"
+    assert doc["model_kind"] == "tsc"
 
 
 def test_loaded_model_revalidates(tmp_path):
     path = tmp_path / "model.json"
-    save_model(_hmm(), path)
+    save_model(TscModel(_hmm(), None, 2), path)
     doc = json.loads(path.read_text())
-    doc["model"]["priors"] = [0.5, 0.5, 0.5]
+    doc["model"]["base"]["priors"] = [0.5, 0.5, 0.5]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
@@ -104,7 +98,7 @@ def test_load_rejects_foreign_json(tmp_path):
 
 def test_load_rejects_future_version(tmp_path):
     path = tmp_path / "model.json"
-    save_model(_hmm(), path)
+    save_model(TscModel(_hmm(), None, 2), path)
     doc = json.loads(path.read_text())
     doc["format_version"] = FORMAT_VERSION + 1
     path.write_text(json.dumps(doc))
@@ -114,17 +108,21 @@ def test_load_rejects_future_version(tmp_path):
 
 def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "model.json"
-    save_model(_hmm(), path)
+    save_model(TscModel(_hmm(), None, 2), path)
     doc = json.loads(path.read_text())
-    doc["model_kind"] = "forest"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="unknown model_kind"):
-        load_model(path)
+    # an hmm-kind file of earlier releases held the bare HMM as its model
+    for kind, model in [("forest", doc["model"]), ("hmm", doc["model"]["base"])]:
+        path.write_text(json.dumps({**doc, "model_kind": kind, "model": model}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unknown model_kind "
+                                             f"'{kind}'$"):
+            load_model(path)
 
 
 def test_save_rejects_other_objects(tmp_path):
-    with pytest.raises(TypeError, match="cannot serialize"):
-        save_model({"not": "a model"}, tmp_path / "model.json")
+    for model in ({"not": "a model"}, _hmm()):
+        with pytest.raises(TypeError, match=f"cannot serialize {type(model).__name__}"):
+            save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def _saved_tsc_doc(tmp_path):
