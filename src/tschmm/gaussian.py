@@ -1,13 +1,13 @@
 """Multivariate Gaussian primitives: density, marginals, conditional means.
 
-One factor path and one solve path: every covariance factor is a lower
-Cholesky factor taken by `_cholesky`, which holds the one error path, and
-every triangular solve against such a factor goes through `_solve_lower`.
-Covariance matrices are never inverted explicitly. Densities are evaluated
-in log space so that products over long observation sequences do not
-underflow. Prediction and `log_density` take `_log_densities`, whose rows
-depend on their own point alone; EM takes the faster `hmm._log_emissions`.
-Arrays and index lists are checked by `data`'s rules, not in this module.
+One factor path: every covariance factor is a lower Cholesky factor taken
+by `_cholesky`, which holds the one error path, and every inverse factor is
+`np.linalg.inv` of such a factor. Covariance matrices are never inverted
+explicitly. Densities are evaluated in log space so that products over
+long observation sequences do not underflow. Prediction and `log_density`
+take `_log_densities`, whose rows depend on their own point alone; EM takes
+the faster `hmm._log_emissions`. Arrays and index lists are checked by
+`data`'s rules, not in this module.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .data import _check_type, _float_array, _index_tuple
 
@@ -28,10 +27,6 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SYMMETRY_ATOL = 1e-12
-# LAPACK's triangular solve, bound once: scipy.linalg's wrapper around it
-# checks and converts its arguments on every call, which at these sizes
-# costs several times the solve
-_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,8 @@ class GaussianState:
 
 
 def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor, with a readable error on failure."""
+    """Lower Cholesky factor of a matrix or of each in a stack, with a
+    readable error on failure."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -79,20 +75,6 @@ def _cholesky(cov: np.ndarray, what: str) -> np.ndarray:
             f"Cholesky factorization of {what} failed (matrix not positive "
             f"definite); consider increasing the diagonal regularization"
         ) from exc
-
-
-def _solve_lower(chol: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-    """L^-1 rhs, or L^-T rhs with trans=1, for a C-ordered lower factor L.
-
-    LAPACK gets the arguments that scipy.linalg's wrapper passes it for such
-    a factor (L^T as an upper factor in Fortran order, the transpose flag
-    flipped), so the results are the wrapper's, bit for bit. Non-finite
-    entries of `rhs` propagate; nothing scans for them.
-    """
-    x, info = _TRTRS(chol.T, rhs, lower=0, trans=1 - trans)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-    return x
 
 
 def _log_norm(chol: np.ndarray) -> float:
@@ -133,7 +115,7 @@ def log_density(x: np.ndarray, g: GaussianState) -> np.ndarray | float:
     if pts.shape[1] != g.dim:
         raise ValueError(f"x has dimension {pts.shape[1]}, expected {g.dim}")
     chol = _cholesky(g.cov, "the covariance")
-    out = _log_densities(pts, [g.mean], [_solve_lower(chol, np.eye(g.dim))], [_log_norm(chol)])
+    out = _log_densities(pts, [g.mean], [np.linalg.inv(chol)], [_log_norm(chol)])
     return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 
@@ -146,16 +128,17 @@ def marginalize(g: GaussianState, idx: Sequence[int]) -> GaussianState:
 
 def _conditional_affine(
     g: GaussianState, obs_idx: np.ndarray, free_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Affine map of the conditional: mean(obs) = offset + gain @ obs.
 
-    Takes checked, disjoint index arrays. Returns (chol, gain, offset): the
-    lower Cholesky factor of the observed block, whose inverse also serves
-    that block's density (`_log_densities`), and the map onto the
-    `free_idx` dims.
+    Takes checked, disjoint index arrays. Returns (chol, inv_chol, gain,
+    offset): the lower Cholesky factor L of the observed block and its
+    inverse, which also serve that block's density (`_log_norm`,
+    `_log_densities`), and the map onto the `free_idx` dims.
     """
     s12 = g.cov[np.ix_(obs_idx, free_idx)]
     chol = _cholesky(g.cov[np.ix_(obs_idx, obs_idx)], "the observed-block covariance")
+    inv_chol = np.linalg.inv(chol)
     # gain = S21 S11^-1, computed as (L^-T L^-1 S12)^T
-    gain = _solve_lower(chol, _solve_lower(chol, s12), trans=1).T
-    return chol, gain, g.mean[free_idx] - gain @ g.mean[obs_idx]
+    gain = (inv_chol.T @ (inv_chol @ s12)).T
+    return chol, inv_chol, gain, g.mean[free_idx] - gain @ g.mean[obs_idx]

@@ -35,7 +35,6 @@ from .gaussian import (
     _conditional_affine,
     _log_densities,
     _log_norm,
-    _solve_lower,
 )
 
 __all__ = [
@@ -132,8 +131,7 @@ class HmmModel:
         robot_idx = np.array(self.split.robot_idx)
         states = []
         for g in self.emissions:
-            chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
-            inv_chol = _solve_lower(chol, np.eye(len(chol)))
+            chol, inv_chol, gain, offset = _conditional_affine(g, human_idx, robot_idx)
             states.append((g.mean[human_idx], inv_chol, _log_norm(chol), gain, offset))
         split = DimensionSplit((), tuple(range(len(robot_idx))))
         return _Regression(*map(np.array, zip(*states)), split)
@@ -213,23 +211,25 @@ def _log_emissions(model: HmmModel, frames: np.ndarray, dims: Sequence[int]) -> 
     """(T, S) log densities of the frames under each state's marginal on
     `dims`, read off the model with one Cholesky factor per state.
 
-    The first of the two density paths: each state's centred frames are
-    multiplied by the inverse of its factor, one D x D triangular inversion
-    and one (T, D) by (D, D) BLAS product per state. A frame's rounding may
-    then depend on how many share the call, which EM and labelling do not
-    mind; stacking the states as prediction does (`gaussian._log_densities`)
-    gave the same bits but was slower on EM's batches. A frame too far out
-    for its residual or its square to stay finite has density 0.
+    The first of the two density paths: one `np.linalg.cholesky` and one
+    `np.linalg.inv` over the (S, D, D) stack of blocks, then one (T, D) by
+    (D, D) BLAS product per state of the centred frames by the transposed
+    inverse factor, C-ordered. A frame's rounding may then depend on how
+    many share the call, which EM and labelling do not mind; stacking the
+    products as prediction does (`gaussian._log_densities`) gave the same
+    bits but was slower on EM's batches. A frame too far out for its
+    residual or its square to stay finite has density 0.
     """
     out = np.empty((len(frames), model.num_states))
-    eye = np.eye(len(dims))
+    chols = _cholesky(np.stack([g.cov[np.ix_(dims, dims)] for g in model.emissions]),
+                      "the covariance")
+    inv_ts = np.ascontiguousarray(np.swapaxes(np.linalg.inv(chols), 1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, g in enumerate(model.emissions):
-            chol = _cholesky(g.cov[np.ix_(dims, dims)], "the covariance")
-            y = (frames - g.mean[dims]) @ _solve_lower(chol, eye).T
+            y = (frames - g.mean[dims]) @ inv_ts[i]
             # an overflowing residual can leave NaN, which fmin takes as inf
             quad = np.fmin(np.einsum("td,td->t", y, y), np.inf)
-            out[:, i] = -0.5 * (_log_norm(chol) + quad)
+            out[:, i] = -0.5 * (_log_norm(chols[i]) + quad)
     return out
 
 

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from tschmm.data import DimensionSplit
 from tschmm.gaussian import (
     GaussianState,
     _log_densities,
     _log_norm,
-    _solve_lower,
     log_density,
     marginalize,
 )
+from tschmm.hmm import HmmModel, _log_emissions
 
 # ln N(0; 0, 1) = -0.5 * ln(2*pi), checked against scipy.stats.norm
 LOG_STD_NORMAL_AT_ZERO = -0.9189385332046727
@@ -62,9 +63,8 @@ def test_stacked_densities_give_prefix_rows_bit_for_bit(states, dim, frames, see
     covs = [_random_pd_cov(rng, dim) for _ in range(states)]
     chols = [np.linalg.cholesky(cov) for cov in covs]
     log_norms = np.array([_log_norm(chol) for chol in chols])
-    # LAPACK returns each inverse factor Fortran-ordered, and np.stack
-    # keeps that order within each factor
-    fortran_factors = np.stack([_solve_lower(chol, np.eye(dim)) for chol in chols])
+    # np.stack keeps each factor's Fortran order
+    fortran_factors = np.stack([np.asfortranarray(np.linalg.inv(chol)) for chol in chols])
     inv_chols = np.ascontiguousarray(fortran_factors)
     pts = rng.normal(size=(frames, dim)) * 3.0
     whole = _log_densities(pts, means, inv_chols, log_norms)
@@ -80,18 +80,46 @@ def test_stacked_densities_give_prefix_rows_bit_for_bit(states, dim, frames, see
                 assert np.array_equal(got[-1], whole[k - 1]), (k, prefix.strides, factors.strides)
 
 
-@pytest.mark.parametrize("trans", [0, 1])
-def test_solve_lower_equals_scipy_bit_for_bit(trans):
-    rng = np.random.default_rng(11)
+def _conditioned_cov(rng, dim, cond):
+    """A random covariance whose eigenvalues run log-evenly from 1 to 1/cond."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    cov = (q * np.logspace(0.0, -np.log10(cond), dim)) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+def test_inverse_factors_agree_with_triangular_solves(monkeypatch):
+    # the inverse Cholesky factors that log_density, emission tables and
+    # regression use, against scipy's triangular solve of the identity
+    original, inverted = np.linalg.inv, []
+
+    def inv(a):
+        inverted.append(original(a))
+        return inverted[-1]
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rng = np.random.default_rng(13)
+
+    def assert_inverts(got, covs):
+        for factor, cov in zip(got, covs):
+            want = scipy.linalg.solve_triangular(
+                np.linalg.cholesky(cov), np.eye(len(cov)), lower=True)
+            assert np.max(np.abs(factor - want)) <= 1e-12 * np.max(np.abs(want))
+
     for dim in range(1, 13):
-        chol = np.linalg.cholesky(_random_pd_cov(rng, dim))
-        residuals = (rng.normal(size=(148, dim)) * 3.0 - rng.normal(size=dim)).T
-        lone = residuals[:, :1]
-        # one right-hand side, many (Fortran- and C-ordered), and a lone
-        # right-hand side beside a copy of itself
-        for rhs in (lone, residuals, np.ascontiguousarray(residuals), lone[:, [0, 0]]):
-            want = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans=trans)
-            assert np.array_equal(_solve_lower(chol, rhs, trans), want), (dim, rhs.shape)
+        for cond in (1.0, 1e2, 1e4, 1e6):
+            covs = [_conditioned_cov(rng, dim + 2, cond) for _ in range(3)]
+            human = np.arange(dim)
+            blocks = [cov[np.ix_(human, human)] for cov in covs]
+            model = HmmModel(np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
+                             [GaussianState(rng.normal(size=dim + 2), cov) for cov in covs],
+                             DimensionSplit(tuple(human), (dim, dim + 1)))
+            inverted.clear()
+            log_density(rng.normal(size=dim), marginalize(model.emissions[0], human))
+            assert_inverts(inverted[0][None], blocks[:1])
+            _log_emissions(model, rng.normal(size=(4, dim)), human)
+            assert inverted[1].shape == (3, dim, dim)
+            assert_inverts(inverted[1], blocks)
+            assert_inverts(model._regression.inv_chols, blocks)
 
 
 def test_log_density_of_an_overflowing_residual_is_minus_inf():

@@ -1,7 +1,7 @@
 """Every name a tschmm module imports is used in that module, every
 top-level private name a module defines is used somewhere in the package,
 every name a module exports in `__all__` is defined in that module, no
-module reaches `scipy.linalg.solve_triangular` around the one solve helper,
+module imports scipy in any form, and the commands run with scipy blocked,
 no `np.einsum` call passes `optimize`, `gaussian._log_density`, the
 per-state density that prediction's stacked kernel replaced, stays gone,
 each input rule's message is raised by the one function that holds the rule,
@@ -16,6 +16,9 @@ exempt from the import check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,37 +141,73 @@ def test_the_check_finds_an_exported_name_the_module_does_not_define():
     assert _exported_but_not_defined(source) == ["B", "gone"]
 
 
-def _solve_triangular_uses(source: str) -> list[str]:
-    """Lines that import, call or otherwise name `solve_triangular`: every
-    triangular solve goes through `gaussian._solve_lower` instead."""
+def _scipy_imports(source: str) -> list[str]:
+    """Lines that import scipy or any of its modules: numpy is the
+    package's only runtime dependency."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name.split(".")[-1] for alias in node.names]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Constant):  # getattr(scipy.linalg, "solve_triangular")
-            names = [node.value]
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
         else:
             continue
-        if "solve_triangular" in names:
+        if any(name.split(".")[0] == "scipy" for name in names):
             found.add(node.lineno)
     return [f"line {line}" for line in sorted(found)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_module_calls_no_solve_triangular(path):
-    assert _solve_triangular_uses(path.read_text(encoding="utf-8")) == []
+def test_module_imports_no_scipy(path):
+    assert _scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_the_check_finds_each_way_to_reach_solve_triangular():
-    source = ('"""Docs may say solve_triangular."""\nimport scipy.linalg\n'
-              "from scipy.linalg import solve_triangular as st\n"
-              "scipy.linalg.solve_triangular(a, b)\n"
-              'getattr(scipy.linalg, "solve_triangular")\nimport scipy.linalg.solve_triangular\n')
-    assert _solve_triangular_uses(source) == ["line 3", "line 4", "line 5", "line 6"]
+def test_the_check_finds_each_way_to_import_scipy():
+    source = ('"""Docs may say scipy."""\nimport scipy\nimport scipy.linalg as la\n'
+              "from scipy import linalg\nfrom scipy.linalg import cho_factor\n"
+              "import numpy, scipy.special\nfrom .scipy import x\nimport scipyx\n"
+              "from numpy import scipy\n")
+    assert _scipy_imports(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
+
+
+# one small run of each command, with paths relative to the run's directory
+CLI_RUN = (
+    ("synth", "--kind", "handshake", "--n", "6", "--out", "d.csv"),
+    ("train", "--data", "d.csv", "--states", "2", "--tsc-states", "2", "--out", "m.json"),
+    ("predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"),
+    ("segment", "--model", "m.json", "--data", "d.csv", "--out", "s.csv"),
+    ("eval", "--data", "d.csv", "--states", "2", "--tsc-states", "2", "--batch", "3",
+     "--seeds", "1", "--out", "r.csv"),
+)
+# a None entry in sys.modules makes every import of scipy or of any of its
+# modules raise ImportError, whether tschmm makes it or a module it imports
+BLOCK_SCIPY = 'import sys; sys.modules["scipy"] = None\n'
+RUN_TSCHMM = 'import runpy; runpy.run_module("tschmm", run_name="__main__")'
+
+
+def _run_commands(cwd: Path, interpreter: list[str]) -> tuple[list[bytes], dict[str, bytes]]:
+    """Each command's stdout, run in order in `cwd`, and the files they wrote."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    stdouts = []
+    for argv in CLI_RUN:
+        proc = subprocess.run([*interpreter, *argv], cwd=cwd, capture_output=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
+        stdouts.append(proc.stdout)
+    return stdouts, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+
+def test_commands_write_the_same_bytes_with_scipy_blocked(tmp_path):
+    blocked = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + "import scipy.linalg"],
+                             capture_output=True, timeout=60)
+    assert blocked.returncode == 1 and b"scipy" in blocked.stderr.splitlines()[-1]
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "ordinary").mkdir()
+    got = _run_commands(tmp_path / "blocked", [sys.executable, "-c", BLOCK_SCIPY + RUN_TSCHMM])
+    want = _run_commands(tmp_path / "ordinary", [sys.executable, "-m", "tschmm"])
+    assert sorted(got[1]) == ["d.boundaries.csv", "d.csv", "m.json", "p.csv", "r.csv", "s.csv"]
+    assert got == want
 
 
 def _einsum_optimize_uses(source: str) -> list[str]:
