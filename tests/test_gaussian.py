@@ -87,9 +87,11 @@ def _conditioned_cov(rng, dim, cond):
     return 0.5 * (cov + cov.T)
 
 
-def test_inverse_factors_agree_with_triangular_solves(monkeypatch):
+@pytest.mark.parametrize("trans", [0, 1])
+def test_inverse_factors_agree_with_triangular_solves(monkeypatch, trans):
     # the inverse Cholesky factors that log_density, emission tables and
-    # regression use, against scipy's triangular solve of the identity
+    # regression use, against scipy's triangular solve of the identity:
+    # L^-1 as the densities apply it (trans 0), L^-T as the gain does (trans 1)
     original, inverted = np.linalg.inv, []
 
     def inv(a):
@@ -101,8 +103,9 @@ def test_inverse_factors_agree_with_triangular_solves(monkeypatch):
 
     def assert_inverts(got, covs):
         for factor, cov in zip(got, covs):
+            factor = factor.T if trans else factor
             want = scipy.linalg.solve_triangular(
-                np.linalg.cholesky(cov), np.eye(len(cov)), lower=True)
+                np.linalg.cholesky(cov), np.eye(len(cov)), lower=True, trans=trans)
             assert np.max(np.abs(factor - want)) <= 1e-12 * np.max(np.abs(want))
 
     for dim in range(1, 13):
